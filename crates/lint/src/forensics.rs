@@ -17,7 +17,9 @@
 //!   fresh residual trajectory against the recorded one **bit for
 //!   bit**. A failing solve is deterministic, so anything short of an
 //!   exact match means the bundle and the code have drifted apart
-//!   (or the bundle lies about its options).
+//!   (or the bundle lies about its options). Only operating-point
+//!   bundles can be replayed; any other analysis fails the check, so
+//!   a replay verdict of "ok" always means something was re-run.
 
 use crate::parse_netlist;
 use cml_spice::analysis::op;
@@ -48,11 +50,11 @@ pub struct ReplayReport {
 }
 
 impl ReplayReport {
-    /// Overall verdict: the replay either doesn't apply or fully
-    /// reproduced the recorded failure.
+    /// Overall verdict: the analysis was replayed and fully reproduced
+    /// the recorded failure. An unsupported analysis is never ok.
     #[must_use]
     pub fn ok(&self) -> bool {
-        !self.supported || (self.error_reproduced && self.trajectory_match)
+        self.supported && self.error_reproduced && self.trajectory_match
     }
 
     /// JSON rendering for `--format json`.
@@ -161,10 +163,15 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_analysis_is_vacuously_ok() {
-        let report = replay_check(&divider_bundle("tran", Vec::new())).unwrap();
-        assert!(!report.supported);
-        assert!(report.ok());
+    fn unsupported_analysis_fails_replay() {
+        for analysis in ["tran", "ac", "batch"] {
+            let report = replay_check(&divider_bundle(analysis, Vec::new())).unwrap();
+            assert!(!report.supported, "{analysis}");
+            assert!(
+                !report.ok(),
+                "{analysis} was not replayed, so it cannot pass"
+            );
+        }
     }
 
     #[test]

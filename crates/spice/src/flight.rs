@@ -15,9 +15,8 @@
 //!
 //! # Format (`CMLF`, version 1)
 //!
-//! The header follows the `cml-cache` disk tier's `CMLC` idiom: magic,
-//! version, payload length, FNV-1a checksum over the payload, then the
-//! payload encoded with the shared little-endian
+//! The header is magic, version, payload length and an FNV-1a checksum
+//! over the payload; the payload is encoded with the little-endian
 //! [`codec`](cml_cache::codec). Files are written tmp+rename so a
 //! crashed dump never leaves a half-written bundle, and readers
 //! validate magic → version → length → checksum → field decode →
