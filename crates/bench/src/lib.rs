@@ -14,7 +14,9 @@
 //! | §III.E BMVR claims                         | `bmvr_sweep` |
 //! | §II.A sensitivity / dynamic range          | `sensitivity_sweep` |
 //!
-//! Criterion benchmarks for the underlying kernels live in `benches/`.
+//! The `gates` binary holds the timing and peak-memory bounds; the
+//! benchmark itself (the paper's four workloads, measured end to end
+//! and per layer) lives in `perfbench/` at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

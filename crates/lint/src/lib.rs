@@ -72,11 +72,56 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
+/// Parses a SPICE number: a decimal literal, then an optional scale
+/// suffix (`t g meg k m mil u n p f`, any case), then unit letters that
+/// are ignored as in SPICE, so `10pF` is 1e-11 and `1kk` is 1e3.
+/// Non-finite values are rejected.
 fn parse_f64(tok: &str, line: usize, what: &str) -> Result<f64, ParseError> {
-    tok.parse::<f64>()
+    let bad = || err(line, format!("invalid {what} '{tok}'"));
+    let b = tok.as_bytes();
+    let digits = |mut i: usize| {
+        while b.get(i).is_some_and(u8::is_ascii_digit) {
+            i += 1;
+        }
+        i
+    };
+    let mut end = digits(usize::from(matches!(b.first(), Some(b'+' | b'-'))));
+    if b.get(end) == Some(&b'.') {
+        end = digits(end + 1);
+    }
+    if matches!(b.get(end), Some(b'e' | b'E')) {
+        let exp = end + 1 + usize::from(matches!(b.get(end + 1), Some(b'+' | b'-')));
+        if digits(exp) > exp {
+            end = digits(exp);
+        }
+    }
+    let (num, suffix) = tok.split_at(end);
+    if !suffix.bytes().all(|c| c.is_ascii_alphabetic()) {
+        return Err(bad());
+    }
+    let suffix = suffix.to_ascii_lowercase();
+    let scale = if suffix.starts_with("meg") {
+        1e6
+    } else if suffix.starts_with("mil") {
+        25.4e-6
+    } else {
+        match suffix.bytes().next() {
+            Some(b't') => 1e12,
+            Some(b'g') => 1e9,
+            Some(b'k') => 1e3,
+            Some(b'm') => 1e-3,
+            Some(b'u') => 1e-6,
+            Some(b'n') => 1e-9,
+            Some(b'p') => 1e-12,
+            Some(b'f') => 1e-15,
+            _ => 1.0,
+        }
+    };
+    num.parse::<f64>()
         .ok()
+        .map(|v| v * scale)
         .filter(|v| v.is_finite())
-        .ok_or_else(|| err(line, format!("invalid {what} '{tok}'")))
+        .ok_or_else(bad)
 }
 
 /// Rejects a parsed value that is not strictly positive (the element
@@ -109,7 +154,8 @@ fn keyed_f64(tok: &str, key: &str, line: usize) -> Result<Option<f64>, ParseErro
 /// * `D<name> a k IS=<amps> N=<n>`
 /// * `*` comment lines, blank lines, and a terminating `.end`
 ///
-/// Node `0` (or `gnd`, any case) is ground. MOSFET cards get the typical
+/// Values take SPICE scale suffixes (`1k`, `10pF`, `2meg`). Node `0`
+/// (or `gnd`, any case) is ground. MOSFET cards get the typical
 /// 0.18 µm process parameters from [`cml_pdk::Pdk018`] at the card's
 /// W/L. Unsupported cards are an error — better to refuse than to lint a
 /// circuit that is not the one described.

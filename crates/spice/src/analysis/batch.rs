@@ -52,12 +52,7 @@ use std::sync::OnceLock;
 /// Default lane width when `CML_BATCH_LANES` is unset or invalid.
 const DEFAULT_LANES: usize = 8;
 
-/// Default batched sparse threshold when `CML_BATCH_SPARSE_THRESHOLD`
-/// is unset or invalid (see [`batch_sparse_threshold`]).
-const DEFAULT_BATCH_SPARSE: usize = 12;
-
-/// Resolves the batched solver's own sparse threshold, honouring the
-/// `CML_BATCH_SPARSE_THRESHOLD` environment variable (read once).
+/// The batched solver's own sparse threshold.
 ///
 /// The scalar threshold ([`NewtonOptions::sparse_threshold`], default
 /// 50) answers "when does sparse win for *one* solve, pattern
@@ -65,17 +60,8 @@ const DEFAULT_BATCH_SPARSE: usize = 12;
 /// and replays its frozen pivot order across every iteration of every
 /// lane group, so discovery amortizes to nothing and sparse wins at
 /// much smaller dimensions. The batched path therefore switches to
-/// sparse at `min(opts.sparse_threshold, batch_sparse_threshold())`.
-#[must_use]
-pub fn batch_sparse_threshold() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("CML_BATCH_SPARSE_THRESHOLD")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_BATCH_SPARSE)
-    })
-}
+/// sparse at `min(opts.sparse_threshold, BATCH_SPARSE_THRESHOLD)`.
+const BATCH_SPARSE_THRESHOLD: usize = 12;
 
 /// Resolves the process-wide batch lane width, honouring the
 /// `CML_BATCH_LANES` environment variable (read once; valid values are
@@ -525,7 +511,7 @@ impl<T: LaneScalar> BatchKernel<T> {
                 self.sparse = None;
             }
         }
-        let threshold = opts.sparse_threshold.min(batch_sparse_threshold());
+        let threshold = opts.sparse_threshold.min(BATCH_SPARSE_THRESHOLD);
         let want_sparse = !self.sparse_disabled && dim > 0 && dim >= threshold;
         if want_sparse && self.sparse.is_none() {
             self.build_sparse_state(&systems[0], &xs[0], &states[0], mode, opts, tel);

@@ -26,9 +26,10 @@
 //!    order-independent. Timings and per-worker load live *outside*
 //!    [`Counters`] because they are not deterministic.
 //! 3. **Four sinks.** An in-memory [`SolverReport`] (typed, queryable
-//!    from tests and bench binaries), JSON via `CML_TELEMETRY=json:<path>`,
-//!    the Chrome trace-event format (loadable in `chrome://tracing`
-//!    and [ui.perfetto.dev](https://ui.perfetto.dev)) via
+//!    from tests and the `gates` binary), JSON via
+//!    `CML_TELEMETRY=json:<path>`, the Chrome trace-event format
+//!    (loadable in `chrome://tracing` and
+//!    [ui.perfetto.dev](https://ui.perfetto.dev)) via
 //!    `CML_TELEMETRY=trace:<path>`, and the Prometheus text exposition
 //!    via `CML_TELEMETRY=prom:<path>` (see [`SolverReport::prometheus`]).
 //!
@@ -49,8 +50,8 @@
 //! per Newton solve, one per factor/refactor/back-substitute call) would
 //! dominate a hot transient loop, so they are gated behind the `fine`
 //! flag (`CML_TELEMETRY=...,fine` or [`Telemetry::enabled_fine`]); the
-//! default enabled mode stays under the 2 % overhead budget measured by
-//! `bench_pr5`.
+//! default enabled mode stays under the 2 % overhead budget that the
+//! `gates` binary (`crates/bench/src/bin/gates.rs`) holds it to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -400,7 +401,7 @@ impl Counters {
     }
 
     /// Renders the counters as a JSON object (the `counters` block of
-    /// the JSON sink and of the `BENCH_pr*.json` telemetry sections).
+    /// the JSON sink, which `perfbench` reads its per-layer tables from).
     #[must_use]
     pub fn to_value(&self) -> Value {
         let num = |n: u64| Value::Num(n as f64);
@@ -696,7 +697,7 @@ impl Telemetry {
     }
 
     /// A recording handle with coarse spans and all counters (the mode
-    /// whose overhead `bench_pr5` bounds at < 2 %).
+    /// whose overhead the `gates` binary bounds at < 2 %).
     #[must_use]
     pub fn enabled() -> Self {
         Telemetry {
@@ -730,9 +731,9 @@ impl Telemetry {
     }
 
     /// An enabled handle that *additionally* honours [`TELEMETRY_ENV`]
-    /// sinks when the variable is set — the constructor the bench
-    /// binaries use, so their counter blocks exist regardless of the
-    /// environment while `CML_TELEMETRY=json:...` still exports files.
+    /// sinks when the variable is set — the constructor the `gates`
+    /// binary uses, so it always records while `CML_TELEMETRY=json:...`
+    /// still exports files.
     #[must_use]
     pub fn enabled_with_env_sinks() -> Self {
         match std::env::var(TELEMETRY_ENV) {
@@ -1237,7 +1238,7 @@ impl SolverReport {
     }
 
     /// Renders the report as the JSON tree written by the `json:` sink
-    /// and embedded as the `telemetry` block of `BENCH_pr*.json`.
+    /// (schema `cml-telemetry-v1`, which CI validates).
     #[must_use]
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![

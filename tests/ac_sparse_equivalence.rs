@@ -5,10 +5,11 @@
 //! unknowns, and partitions the frequency grid across worker threads.
 //! These tests pin the contract that neither switch changes results:
 //! dense and sparse sweeps agree to ≤ 1e-9 on every seed cell over a
-//! 200-point grid, and the parallel sweep is bit-identical to the serial
-//! one for any thread count. A property test additionally checks the
-//! complex sparse factorization against dense complex elimination on
-//! random diagonally-dominant MNA-shaped systems.
+//! 200-point grid without a single sparse→dense fallback, and the
+//! parallel sweep is bit-identical to the serial one for any thread
+//! count. A property test additionally checks the complex sparse
+//! factorization against dense complex elimination on random
+//! diagonally-dominant MNA-shaped systems.
 
 // Driver-style target: aborting on a malformed result with a message
 // is the intended failure mode, so expect/unwrap are fine here.
@@ -25,6 +26,7 @@ use cml_pdk::Pdk018;
 use cml_spice::analysis::ac::{self, AcResult};
 use cml_spice::analysis::{op, NewtonOptions};
 use cml_spice::prelude::*;
+use cml_spice::telemetry::Telemetry;
 use proptest::prelude::*;
 
 fn equalizer_circuit() -> Circuit {
@@ -135,10 +137,16 @@ fn ac_sparse_matches_dense_on_seed_cells() {
     for (name, ckt) in &seed_cells() {
         let op = op::solve(ckt).expect("operating point");
         let dense = ac::sweep_with(ckt, op.solution(), &freqs, &dense_opts, 1).expect("dense ac");
+        let tel = Telemetry::enabled();
         let sparse =
-            ac::sweep_with(ckt, op.solution(), &freqs, &sparse_opts, 1).expect("sparse ac");
+            ac::sweep_traced(ckt, op.solution(), &freqs, &sparse_opts, 1, &tel).expect("sparse ac");
         let worst = worst_diff(ckt, &dense, &sparse, freqs.len());
         assert!(worst <= 1e-9, "{name}: ac sparse/dense diff {worst:.3e}");
+        assert_eq!(
+            tel.report().counters.dense_fallbacks,
+            0,
+            "{name}: sparse AC sweep fell back to the dense solver"
+        );
     }
 }
 

@@ -15,7 +15,8 @@
 
 use cml_core::yield_est::{
     behavioral_offset_yield, behavioral_offset_yield_scalar, pair_offsets_batched,
-    pair_offsets_scalar, transistor_offset_yield, ChainSpec, PairYieldSpec, YieldConfig,
+    pair_offsets_scalar, transistor_offset_yield, transistor_offset_yield_scalar, ChainSpec,
+    PairYieldSpec, YieldConfig,
 };
 use cml_spice::analysis::tran::TranConfig;
 use cml_spice::analysis::{batch, op, NewtonOptions};
@@ -214,7 +215,8 @@ proptest! {
 }
 
 /// Transistor-level yield: the estimate is bit-identical across thread
-/// counts (single deterministic case — each trial is a real solve).
+/// counts (single deterministic case — each trial is a real solve), and
+/// the warm-started batched table agrees with the scalar one to ≤ 1e-9.
 #[test]
 fn transistor_yield_thread_invariant() {
     let spec = PairYieldSpec::paper_default();
@@ -225,6 +227,17 @@ fn transistor_yield_thread_invariant() {
         let run = transistor_offset_yield(&base.clone().with_threads(threads), &spec, &thresholds)
             .expect("n threads");
         assert_eq!(reference.estimate, run.estimate, "threads={threads}");
+    }
+    let scalar = transistor_offset_yield_scalar(&base, &spec, &thresholds).expect("scalar");
+    for i in 0..thresholds.len() {
+        let (b, s) = (
+            reference.estimate.fail_prob(i),
+            scalar.estimate.fail_prob(i),
+        );
+        assert!(
+            (b - s).abs() <= 1e-9,
+            "threshold {i}: batched {b} scalar {s}"
+        );
     }
 }
 

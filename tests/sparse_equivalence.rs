@@ -6,9 +6,12 @@
 //! Every circuit is solved twice — threshold 1 (sparse forced) and
 //! `usize::MAX` (dense forced) — and the solutions must agree to ≤ 1e-9
 //! across the whole trajectory, linear and transistor-level circuits
-//! alike. A property test additionally checks the sparse factorization
-//! against the dense one on random diagonally-dominant MNA-shaped
-//! systems of varying bandwidth.
+//! alike. On a PRBS-7 eye of the transistor-level input interface, the
+//! sparse LTE-adaptive path must fold an eye within 1 % (height and
+//! width) of the fixed-step one without ever falling back to dense. A
+//! property test additionally checks the sparse factorization against
+//! the dense one on random diagonally-dominant MNA-shaped systems of
+//! varying bandwidth.
 
 // Driver-style target: aborting on a malformed result with a message
 // is the intended failure mode, so expect/unwrap are fine here.
@@ -20,10 +23,17 @@ use cml_core::cells::{add_diff_drive, add_supply, DiffPort};
 use cml_numeric::sparse::TripletMatrix;
 use cml_numeric::{DenseMatrix, SparseLu};
 use cml_pdk::Pdk018;
+use cml_sig::nrz::NrzConfig;
+use cml_sig::prbs::Prbs;
+use cml_sig::{EyeDiagram, EyeMetrics, UniformWave};
 use cml_spice::analysis::tran::{self, TranConfig, TranResult};
 use cml_spice::analysis::{op, NewtonOptions};
 use cml_spice::prelude::*;
+use cml_spice::telemetry::Telemetry;
 use proptest::prelude::*;
+
+/// 10 Gb/s unit interval.
+const UI: f64 = 100e-12;
 
 fn rc_ladder(n_stages: usize) -> Circuit {
     let mut ckt = Circuit::new();
@@ -82,6 +92,25 @@ fn interface_circuit() -> (Circuit, DiffPort) {
         Some(Waveform::step(vcm - 0.05, vcm + 0.05, 30e-12, 10e-12)),
     );
     input_interface::build(&mut ckt, &pdk, &cfg, "rx", input, output, vdd);
+    (ckt, output)
+}
+
+/// The input interface driven by `n_bits` of 10 Gb/s PRBS-7, with a
+/// 20 fF load per output.
+fn prbs7_interface(n_bits: usize) -> (Circuit, DiffPort) {
+    let pdk = Pdk018::typical();
+    let cfg = InputInterfaceConfig::paper_default();
+    let mut ckt = Circuit::new();
+    let vdd = add_supply(&mut ckt, cml_pdk::VDD);
+    let input = DiffPort::named(&mut ckt, "in");
+    let output = DiffPort::named(&mut ckt, "out");
+    let vcm = cfg.equalizer.input_common_mode();
+    let bits: Vec<bool> = Prbs::prbs7().take(n_bits).collect();
+    let pwl = NrzConfig::new(UI, 0.2).with_offset(vcm).render_pwl(&bits);
+    add_diff_drive(&mut ckt, "VIN", input, vcm, Some(Waveform::Pwl(pwl)));
+    input_interface::build(&mut ckt, &pdk, &cfg, "rx", input, output, vdd);
+    ckt.add(Capacitor::new("CLP", output.p, Circuit::GROUND, 20e-15));
+    ckt.add(Capacitor::new("CLN", output.n, Circuit::GROUND, 20e-15));
     (ckt, output)
 }
 
@@ -164,6 +193,36 @@ fn tran_matches_on_transistor_cells() {
         let worst = worst_diff(&ckt, &dense, &sparse);
         assert!(worst <= 1e-9, "{name}: sparse/dense diff {worst:.3e}");
     }
+
+    // PRBS-7 eye: sparse adaptive against sparse fixed-step (which the
+    // loop above pins to dense). 40 bits, because the eye has not opened
+    // yet after a handful. The adaptive grid is non-uniform, so both runs
+    // are resampled before folding.
+    let n_bits = 40;
+    let (ckt, out) = prbs7_interface(n_bits);
+    let t_stop = n_bits as f64 * UI;
+    let fixed = tran::run(&ckt, &tran_cfg(t_stop, 1e-12, 1)).expect("fixed tran");
+    let tel = Telemetry::enabled();
+    let adaptive =
+        tran::run_traced(&ckt, &tran_cfg(t_stop, 1e-12, 1).adaptive(), &tel).expect("adaptive");
+    assert_eq!(
+        tel.report().counters.dense_fallbacks,
+        0,
+        "sparse adaptive transient fell back to the dense solver"
+    );
+    let eye = |res: &TranResult| -> EyeMetrics {
+        let v = res.differential(out.p, out.n);
+        let wave = UniformWave::from_series(res.times(), &v, 1e-12);
+        EyeDiagram::fold(&wave.skip_initial(4.0 * UI), UI).metrics()
+    };
+    let (f, a) = (eye(&fixed), eye(&adaptive));
+    assert!(f.height > 0.0, "fixed-step eye never opened");
+    let height_rel = (a.height - f.height).abs() / f.height;
+    let width_rel = (a.width - f.width).abs() / f.width;
+    assert!(
+        height_rel < 0.01 && width_rel < 0.01,
+        "adaptive eye drifted: height rel {height_rel:.4}, width rel {width_rel:.4}"
+    );
 }
 
 proptest! {

@@ -139,9 +139,21 @@ fn streamed_eye_matches_dense_fold_on_transistor_prbs7() {
 
     let probes = TranProbes::new().differential("vout", out.p, out.n);
     let mut eye = EyeSink::new("vout", eye_cfg.clone());
-    tran::run_streaming(&ckt, &cfg, &probes, &mut eye).unwrap();
+    // Teed into the disk spill, whose delta encoding must beat raw f64.
+    let spill_path = std::env::temp_dir().join(format!("cml_eye_spill_{}.cmw", std::process::id()));
+    let mut spill = SpillSink::create(&spill_path);
+    tran::run_streaming(&ckt, &cfg, &probes, &mut Tee::new(&mut eye, &mut spill)).unwrap();
+    drop(spill);
 
     let dense = tran::run(&ckt, &cfg).unwrap();
+    let spilled = std::fs::metadata(&spill_path).unwrap().len();
+    let raw = (2 * dense.len() * 8) as u64; // time + one probe column
+    std::fs::remove_file(&spill_path).ok();
+    std::fs::remove_file(spill_path.with_extension("cmw.ckpt")).ok();
+    assert!(
+        spilled < raw,
+        "spill {spilled} B is not below raw f64 {raw} B"
+    );
     let mut reference = EyeAccumulator::new(eye_cfg);
     reference.feed(dense.times(), &dense.differential(out.p, out.n));
 
