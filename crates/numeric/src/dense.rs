@@ -618,8 +618,8 @@ impl ComplexMatrix {
     /// matrix contents (they are left in eliminated, unusable state) and
     /// overwriting `x` (`b` on entry) with the solution.
     ///
-    /// AC sweeps restamp the matrix at every frequency anyway, so nothing
-    /// is lost by destroying it — and the per-frequency clone of the
+    /// AC sweeps reassemble the matrix at every frequency anyway, so
+    /// nothing is lost by destroying it — and the per-frequency clone of the
     /// matrix data that [`ComplexMatrix::solve`] performs is skipped.
     ///
     /// # Errors

@@ -188,7 +188,7 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// This is the entry point for stamp-pointer caching: the circuit
     /// engine records every position an element ever writes, builds the
-    /// pattern once, and then re-stamps values into the reserved slots
+    /// pattern once, and then writes values into the reserved slots
     /// (found via [`find`](Self::find)) on every Newton iteration or
     /// AC frequency point.
     ///

@@ -5,24 +5,33 @@
 //! set of sources constructed `.with_ac(magnitude)` — conventionally one
 //! source with magnitude 1, so node voltages *are* transfer functions.
 //!
+//! # One stamp per sweep
+//!
+//! `G`, `C` and the excitation do not depend on frequency, so each
+//! element stamps once per sweep into an [`AcTape`]: the matrix entries
+//! `(row, col, g, c)` in write order, plus the RHS. Every point then
+//! assembles `G + jωC` by replaying the tape. Replaying `g + jω·c` in the
+//! original write order reproduces the per-point element stamps bit for
+//! bit.
+//!
 //! # Sparse path and parallel sweeps
 //!
 //! At or above [`NewtonOptions::sparse_threshold`] unknowns the sweep
-//! runs on a sparse complex LU: the `G + jωC` stamp pattern is recorded
-//! once per topology (it is frequency-independent), one reference
+//! runs on a sparse complex LU: the CSR pattern is read off the tape,
+//! every tape entry is mapped to its CSR value slot once, one reference
 //! factorization at the first frequency freezes the symbolic analysis
 //! and pivot order, and every subsequent point replays an in-place
 //! numeric refactorization — no DFS, no pivot search, no dense O(n³)
 //! elimination. The frequency grid is partitioned into chunks executed
-//! on `cml_runner::par_map`; each worker clones the reference
+//! on `cml_runner::par_map`; each chunk clones the reference
 //! factorization, so all points share one pivot order and results are
-//! bit-identical for any thread count. Any per-point failure (pattern
-//! miss or a dead frozen pivot) falls back to the dense solve for that
-//! point only — the self-heal ladder of the DC/transient sparse path,
-//! specialized to a sweep of independent solves.
+//! bit-identical for any thread count. A tape entry outside the pattern
+//! is found while mapping slots and sends the whole sweep dense; a dead
+//! frozen pivot falls back to the dense solve for that point only.
 
 use super::{cache, AcSparseState, NewtonOptions, System};
 use crate::circuit::{Circuit, NodeId};
+use crate::element::AcTape;
 use crate::SpiceError;
 use cml_numeric::{Complex64, ComplexMatrix};
 use cml_telemetry::{Phase, Telemetry};
@@ -226,20 +235,21 @@ fn sweep_prechecked_impl(
     let sys = System::new(ckt);
     let dim = sys.dim();
     let gmin = opts.gmin;
+    let tape = sys.ac_tape(x_op);
 
-    // One reference sparse factorization for the whole sweep: recorded
-    // pattern, symbolic analysis and pivot order all frozen here, then
-    // cloned per worker. If the system is below the crossover, the
-    // pattern can't be built, or the first point's factorization fails,
-    // the whole sweep runs dense (which reports singularities with the
-    // established error).
+    // One reference sparse factorization for the whole sweep: pattern,
+    // slot map, symbolic analysis and pivot order all frozen here, then
+    // shared by every chunk. If the system is below the crossover, the
+    // pattern or slot map can't be built, or the first point's
+    // factorization fails, the whole sweep runs dense (which reports
+    // singularities with the established error).
     let want_sparse = dim > 0 && dim >= opts.sparse_threshold && !freqs.is_empty();
-    let reference: Option<AcSparseState> = if want_sparse {
+    let reference: Option<(AcSparseState, Vec<usize>)> = if want_sparse {
         let _t = tel.timer(Phase::PatternDiscovery);
         if opts.cache_enabled() {
-            cache::prepare_ac_sparse_cached(&sys, x_op, freqs[0], gmin, tel)
+            cache::prepare_ac_sparse_cached(&sys, &tape, freqs[0], gmin, tel)
         } else {
-            prepare_ac_sparse(&sys, x_op, freqs[0], gmin)
+            prepare_ac_sparse(&sys, &tape, freqs[0], gmin)
         }
     } else {
         None
@@ -260,7 +270,7 @@ fn sweep_prechecked_impl(
 
     // Chunked fan-out: big enough chunks to amortize the per-chunk
     // workspace clone, small enough to load-balance. Chunking affects
-    // only scheduling — every point is a pure function of (x_op, f).
+    // only scheduling — every point is a pure function of (tape, f).
     // Telemetry from each worker is recorded into a forked buffer and
     // absorbed in chunk order below, so counter totals cannot depend on
     // the thread count (per-point events only; nothing per-chunk).
@@ -275,7 +285,7 @@ fn sweep_prechecked_impl(
         let wtel = probe.fork(i as u32 + 1);
         let r = {
             let _span = wtel.span("phase", "ac_chunk");
-            solve_chunk(&sys, x_op, chunk, gmin, reference.as_ref(), &wtel)
+            solve_chunk(&sys, &tape, chunk, gmin, reference.as_ref(), &wtel)
         };
         (r, wtel.into_parts())
     });
@@ -293,49 +303,56 @@ fn sweep_prechecked_impl(
     })
 }
 
-/// Builds and numerically factors the reference sparse state at the
-/// sweep's first frequency. `None` (→ dense sweep) when the pattern
-/// cannot be built or the reference factorization fails.
-fn prepare_ac_sparse(sys: &System<'_>, x_op: &[f64], f0: f64, gmin: f64) -> Option<AcSparseState> {
-    let omega0 = 2.0 * std::f64::consts::PI * f0;
-    let mut sp = sys.build_ac_sparse(x_op, omega0)?;
-    let mut rhs = Vec::new();
-    if !sys.assemble_ac_sparse(x_op, omega0, gmin, &mut sp, &mut rhs) {
-        return None;
-    }
+/// Builds the reference sparse state and its tape slot map, and factors
+/// it at the sweep's first frequency. `None` (→ dense sweep) when the
+/// pattern or slot map cannot be built or the reference factorization
+/// fails.
+fn prepare_ac_sparse(
+    sys: &System<'_>,
+    tape: &AcTape,
+    f0: f64,
+    gmin: f64,
+) -> Option<(AcSparseState, Vec<usize>)> {
+    let mut sp = sys.build_ac_sparse(tape)?;
+    let slots = sp.slot_map(tape)?;
+    sp.assemble(tape, &slots, 2.0 * std::f64::consts::PI * f0, gmin);
     sp.lu.factor(&sp.mat).ok()?;
-    Some(sp)
+    Some((sp, slots))
 }
 
 /// Solves one chunk of frequency points, returning the flat solutions.
 ///
 /// Each chunk clones the reference factorization, so every point in
 /// every chunk replays the *same* frozen pivot order; a point whose
-/// replay fails (pattern miss or dead pivot) is solved dense instead.
-/// Both make each point's result independent of the chunking, which is
-/// what guarantees bit-identical sweeps across thread counts.
+/// replay fails (dead pivot) is solved dense instead. Both make each
+/// point's result independent of the chunking, which is what guarantees
+/// bit-identical sweeps across thread counts.
 fn solve_chunk(
     sys: &System<'_>,
-    x_op: &[f64],
+    tape: &AcTape,
     freqs: &[f64],
     gmin: f64,
-    reference: Option<&AcSparseState>,
+    reference: Option<&(AcSparseState, Vec<usize>)>,
     tel: &Telemetry,
 ) -> Result<Vec<Complex64>, SpiceError> {
     let dim = sys.dim();
     let mut out = Vec::with_capacity(freqs.len() * dim);
-    let mut sp = reference.cloned();
+    let mut sp = reference.map(|(state, slots)| (state.clone(), slots.as_slice()));
     let mut dense: Option<ComplexMatrix> = None;
-    let mut rhs: Vec<Complex64> = Vec::with_capacity(dim);
     let mut x: Vec<Complex64> = vec![Complex64::ZERO; dim];
     for &f in freqs {
         let omega = 2.0 * std::f64::consts::PI * f;
         let solved_sparse = match sp.as_mut() {
-            Some(sp) => {
-                let _t = tel.timer_fine(Phase::Refactor);
-                sys.assemble_ac_sparse(x_op, omega, gmin, sp, &mut rhs)
-                    && sp.lu.refactor_frozen(&sp.mat).is_ok()
-                    && sp.lu.solve_into(&rhs, &mut x).is_ok()
+            Some((sp, slots)) => {
+                sp.assemble(tape, slots, omega, gmin);
+                let refactored = {
+                    let _t = tel.timer_fine(Phase::Refactor);
+                    sp.lu.refactor_frozen(&sp.mat).is_ok()
+                };
+                refactored && {
+                    let _t = tel.timer_fine(Phase::BackSubstitute);
+                    sp.lu.solve_into(tape.rhs(), &mut x).is_ok()
+                }
             }
             None => false,
         };
@@ -353,12 +370,12 @@ fn solve_chunk(
             if sp.is_some() {
                 tel.degradation(
                     "ac-point-fallback",
-                    "an AC point's frozen-pivot replay failed (pattern miss \
-                     or pivot death); that point was solved dense",
+                    "an AC point's frozen-pivot replay failed (pivot \
+                     death); that point was solved dense",
                 );
             }
             let matrix = dense.get_or_insert_with(|| ComplexMatrix::zeros(dim, dim));
-            sys.solve_ac_into(x_op, omega, gmin, matrix, &mut x)?;
+            sys.solve_ac_into(tape, omega, gmin, matrix, &mut x)?;
         }
         out.extend_from_slice(&x);
     }

@@ -40,7 +40,7 @@
 
 use super::{AcSparseState, ModeKind, SparseState, System};
 use crate::circuit::Circuit;
-use crate::element::StampMode;
+use crate::element::{AcTape, StampMode};
 use crate::SpiceError;
 use cml_cache::{intern, ArtifactKind, Fnv64, Key};
 use cml_numeric::sparse::CsrMatrix;
@@ -123,46 +123,48 @@ fn matrix_bits(mat: &CsrMatrix<Complex64>) -> Vec<u64> {
 }
 
 /// Cached variant of the AC sweep's reference preparation: serves the
-/// topology-keyed `G + jωC` stamp pattern, assembles the reference
-/// matrix at `f0` fresh, then serves the *factorization* keyed by (and
-/// bit-compared against) the exact assembled matrix bits. Falls back to
-/// cold derivation at every validation boundary; returns `None`
-/// (→ dense sweep) exactly when the uncached path would.
+/// topology-keyed `G + jωC` pattern, maps the tape onto it and
+/// assembles the reference matrix at `f0` fresh, then serves the
+/// *factorization* keyed by (and bit-compared against) the exact
+/// assembled matrix bits. Falls back to cold derivation at every
+/// validation boundary; returns `None` (→ dense sweep) exactly when the
+/// uncached path would.
 pub(super) fn prepare_ac_sparse_cached(
     sys: &System<'_>,
-    x_op: &[f64],
+    tape: &AcTape,
     f0: f64,
     gmin: f64,
     tel: &Telemetry,
-) -> Option<AcSparseState> {
+) -> Option<(AcSparseState, Vec<usize>)> {
     let omega0 = 2.0 * std::f64::consts::PI * f0;
 
     // Topology-keyed pattern + symbolic analysis.
     let pat_key = topology_key(sys, ArtifactKind::AcPattern);
     let (arc, was_hit) = intern::get_or_insert_with::<AcSparseState, _>(pat_key, || {
-        sys.build_ac_sparse(x_op, omega0).map(Arc::new)
+        sys.build_ac_sparse(tape).map(Arc::new)
     })?;
     count_outcome(tel, was_hit);
     let mut sp: AcSparseState = arc.as_ref().clone();
 
-    // Reference assembly at f0, always fresh (values are never cached).
-    let mut rhs = Vec::new();
-    if !sys.assemble_ac_sparse(x_op, omega0, gmin, &mut sp, &mut rhs) {
-        // The cached pattern can't carry this circuit's stamps (it can
-        // only happen on a topology-hash abstraction failure): reject
-        // it, rebuild fresh, and re-intern the good pattern.
-        tel.count(|c| c.cache_validation_failures += 1);
-        tel.event(|| EventKind::CacheRejected {
-            kind: "ac-pattern-stamp".into(),
-        });
-        cml_cache::note_validation_failure();
-        let fresh = sys.build_ac_sparse(x_op, omega0)?;
-        intern::insert(pat_key, Arc::new(fresh.clone()));
-        sp = fresh;
-        if !sys.assemble_ac_sparse(x_op, omega0, gmin, &mut sp, &mut rhs) {
-            return None;
+    let slots = match sp.slot_map(tape) {
+        Some(slots) => slots,
+        None => {
+            // The cached pattern can't carry this circuit's stamps (it
+            // can only happen on a topology-hash abstraction failure):
+            // reject it, rebuild fresh, and re-intern the good pattern.
+            tel.count(|c| c.cache_validation_failures += 1);
+            tel.event(|| EventKind::CacheRejected {
+                kind: "ac-pattern-stamp".into(),
+            });
+            cml_cache::note_validation_failure();
+            let fresh = sys.build_ac_sparse(tape)?;
+            intern::insert(pat_key, Arc::new(fresh.clone()));
+            sp = fresh;
+            sp.slot_map(tape)?
         }
-    }
+    };
+    // Reference assembly at f0, always fresh (values are never cached).
+    sp.assemble(tape, &slots, omega0, gmin);
 
     // Content-keyed frozen factorization. The digest folds the
     // topology key with every assembled value bit; the artifact then
@@ -182,7 +184,7 @@ pub(super) fn prepare_ac_sparse_cached(
         if art.bits == bits {
             sp.lu = SparseLu::from_frozen(art.frozen.clone());
             tel.count(|c| c.cache_hits += 1);
-            return Some(sp);
+            return Some((sp, slots));
         }
         // Digest collision: derive cold.
         factor_rejected = true;
@@ -207,7 +209,7 @@ pub(super) fn prepare_ac_sparse_cached(
     if let Some(frozen) = sp.lu.export_frozen() {
         intern::insert(fac_key, Arc::new(AcFactorArtifact { bits, frozen }));
     }
-    Some(sp)
+    Some((sp, slots))
 }
 
 // ---------------------------------------------------------------------

@@ -14,7 +14,9 @@ pub mod spill;
 pub mod tran;
 
 use crate::circuit::{Circuit, NodeId};
-use crate::element::{AcStamper, Element, Integration, StampCtx, StampMode, StampSlots, Stamper};
+use crate::element::{
+    AcStamper, AcTape, Element, Integration, StampCtx, StampMode, StampSlots, Stamper,
+};
 use crate::SpiceError;
 use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{Complex64, ComplexMatrix, DenseMatrix, LuFactors, RefactorOutcome, SparseLu};
@@ -921,13 +923,24 @@ impl<'a> System<'a> {
         }
     }
 
-    /// Assembles and solves the complex small-signal system at `omega`
-    /// into caller-owned buffers: `x` carries the RHS in and the solution
-    /// out, and the matrix (restamped per frequency, then consumed by the
-    /// in-place elimination) is reallocated only on dimension change.
+    /// Records the small-signal stamp of every element around `x_op`:
+    /// the frequency-independent tape an AC sweep replays at each point.
+    pub(crate) fn ac_tape(&self, x_op: &[f64]) -> AcTape {
+        let mut tape = AcTape::new(self.dim());
+        for (idx, e) in self.ckt.elements().enumerate() {
+            let mut stamper = AcStamper::new(&mut tape, self.n_nodes);
+            e.stamp_ac(x_op, self.branch_bases[idx], &mut stamper);
+        }
+        tape
+    }
+
+    /// Assembles `G + jωC` at `omega` from `tape` into a dense matrix
+    /// and solves it into caller-owned buffers: `x` receives the
+    /// solution, and the matrix (consumed by the in-place elimination)
+    /// is reallocated only on dimension change.
     pub(crate) fn solve_ac_into(
         &self,
-        x_op: &[f64],
+        tape: &AcTape,
         omega: f64,
         gmin: f64,
         matrix: &mut ComplexMatrix,
@@ -939,41 +952,30 @@ impl<'a> System<'a> {
         } else {
             matrix.clear();
         }
-        x.clear();
-        x.resize(dim, Complex64::ZERO);
-        for (idx, e) in self.ckt.elements().enumerate() {
-            let mut stamper = AcStamper::new(matrix, x, self.n_nodes);
-            e.stamp_ac(x_op, self.branch_bases[idx], omega, &mut stamper);
+        for e in tape.entries() {
+            matrix[(e.row, e.col)] += e.at(omega);
         }
         for i in 0..self.n_nodes {
             matrix[(i, i)] += Complex64::from_real(gmin);
         }
+        x.clear();
+        x.extend_from_slice(tape.rhs());
         matrix.solve_in_place(x)?;
         Ok(())
     }
 
-    /// Discovers the AC stamp pattern with one recording pass at `omega`
-    /// and builds the fixed-pattern complex CSR matrix plus its sparse
-    /// LU (symbolic analysis only; the caller runs the first numeric
-    /// factorization). The union pattern of `G + jωC` is
-    /// frequency-independent — every element writes its full footprint
-    /// at any `omega` — so one recording serves the whole sweep. As in
+    /// Builds the fixed-pattern complex CSR matrix of `G + jωC` from the
+    /// positions on `tape`, plus its sparse LU (symbolic analysis only;
+    /// the caller runs the first numeric factorization). As in
     /// [`build_sparse`](Self::build_sparse), the position set is
     /// symmetrized and every diagonal is added. Returns `None` when the
     /// pattern cannot be built; the sweep then stays dense.
-    fn build_ac_sparse(&self, x_op: &[f64], omega: f64) -> Option<AcSparseState> {
+    fn build_ac_sparse(&self, tape: &AcTape) -> Option<AcSparseState> {
         let dim = self.dim();
-        let mut positions: Vec<(usize, usize)> = Vec::new();
-        let mut scratch_rhs = vec![Complex64::ZERO; dim];
-        for (idx, e) in self.ckt.elements().enumerate() {
-            let mut stamper = AcStamper::pattern(&mut positions, &mut scratch_rhs, self.n_nodes);
-            e.stamp_ac(x_op, self.branch_bases[idx], omega, &mut stamper);
-        }
-        let n_recorded = positions.len();
-        for i in 0..n_recorded {
-            let (r, c) = positions[i];
-            positions.push((c, r));
-        }
+        let entries = tape.entries();
+        let mut positions: Vec<(usize, usize)> = Vec::with_capacity(2 * entries.len() + dim);
+        positions.extend(entries.iter().map(|e| (e.row, e.col)));
+        positions.extend(entries.iter().map(|e| (e.col, e.row)));
         positions.extend((0..dim).map(|i| (i, i)));
         let mat = CsrMatrix::<Complex64>::from_pattern(dim, dim, &positions).ok()?;
         let lu = SparseLu::new(&mat).ok()?;
@@ -981,59 +983,50 @@ impl<'a> System<'a> {
         Some(AcSparseState {
             mat,
             lu,
-            slots: StampSlots::default(),
             diag_slots: diag_slots?,
         })
-    }
-
-    /// Sparse analogue of the assembly half of
-    /// [`solve_ac_into`](Self::solve_ac_into): restamps `G + jωC` at
-    /// `omega` into the reserved CSR slots and rebuilds the RHS. Returns
-    /// `false` on a pattern miss (an element wrote a position absent from
-    /// the recorded pattern); the caller then solves this point dense.
-    fn assemble_ac_sparse(
-        &self,
-        x_op: &[f64],
-        omega: f64,
-        gmin: f64,
-        sp: &mut AcSparseState,
-        rhs: &mut Vec<Complex64>,
-    ) -> bool {
-        sp.mat.clear_vals();
-        rhs.clear();
-        rhs.resize(self.dim(), Complex64::ZERO);
-        sp.slots.begin_pass();
-        for (idx, e) in self.ckt.elements().enumerate() {
-            let mut stamper = AcStamper::sparse(&mut sp.mat, &mut sp.slots, rhs, self.n_nodes);
-            e.stamp_ac(x_op, self.branch_bases[idx], omega, &mut stamper);
-        }
-        if sp.slots.missing() {
-            return false;
-        }
-        for &s in &sp.diag_slots {
-            sp.mat.vals_mut()[s] += Complex64::from_real(gmin);
-        }
-        true
     }
 }
 
 /// Sparse AC sweep state: the fixed-pattern `G + jωC` matrix, its
-/// complex LU (pivot order frozen at the sweep's reference frequency),
-/// the stamp-pointer cache, and the node-diagonal slots for gmin.
+/// complex LU (pivot order frozen at the sweep's reference frequency)
+/// and the node-diagonal slots for gmin.
 ///
 /// `Clone` matters: the sweep factors one reference state, then every
-/// parallel worker clones it — same frozen pivot order everywhere — and
-/// replays numeric refactorizations per frequency point.
+/// chunk of the frequency grid clones it — same frozen pivot order
+/// everywhere — and replays numeric refactorizations per point.
 #[derive(Debug, Clone)]
 pub(crate) struct AcSparseState {
     /// Fixed-pattern complex MNA matrix; only `vals` change per point.
     mat: CsrMatrix<Complex64>,
     /// Complex sparse LU with a replay-only refactorization path.
     lu: SparseLu<Complex64>,
-    /// Stamp-pointer cache for the per-point assembly pass.
-    slots: StampSlots,
     /// Value-slot of each node diagonal, for the gmin stamp.
     diag_slots: Vec<usize>,
+}
+
+impl AcSparseState {
+    /// The CSR value slot of every entry on `tape`, in tape order;
+    /// `None` when an entry lies outside the pattern.
+    fn slot_map(&self, tape: &AcTape) -> Option<Vec<usize>> {
+        tape.entries()
+            .iter()
+            .map(|e| self.mat.find(e.row, e.col))
+            .collect()
+    }
+
+    /// Assembles `G + jωC` plus gmin at `omega` into the CSR values by
+    /// replaying `tape` through its `slots` (from [`Self::slot_map`]).
+    fn assemble(&mut self, tape: &AcTape, slots: &[usize], omega: f64, gmin: f64) {
+        self.mat.clear_vals();
+        let vals = self.mat.vals_mut();
+        for (e, &s) in tape.entries().iter().zip(slots) {
+            vals[s] += e.at(omega);
+        }
+        for &s in &self.diag_slots {
+            vals[s] += Complex64::from_real(gmin);
+        }
+    }
 }
 
 /// Voltage lookup shared by all result types.
@@ -1085,5 +1078,92 @@ mod tests {
         assert_eq!(sys.branch_names()["V1"], 2);
         assert_eq!(sys.branch_names()["L1"], 3);
         assert_eq!(sys.state_len(), 2); // inductor state only
+    }
+
+    #[test]
+    fn ac_tape_replay_sparse_matches_dense() {
+        // One of every element kind, MOSFET and diode biased on.
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        let c = ckt.node("c");
+        ckt.add(Vsource::dc("V1", vin, Circuit::GROUND, 1.2).with_ac(1.0));
+        ckt.add(Resistor::new("R1", vin, a, 1e3));
+        ckt.add(Capacitor::new("C1", a, b, 1e-12));
+        ckt.add(Inductor::new("L1", b, Circuit::GROUND, 1e-9));
+        ckt.add(Vcvs::new("E1", c, Circuit::GROUND, a, b, 2.0));
+        ckt.add(Vccs::new(
+            "G1",
+            b,
+            Circuit::GROUND,
+            c,
+            Circuit::GROUND,
+            1e-3,
+        ));
+        ckt.add(Isource::dc("I1", a, Circuit::GROUND, 1e-4).with_ac(0.5));
+        ckt.add(Diode::new("D1", a, Circuit::GROUND, DiodeParams::default()));
+        let params = MosParams {
+            mos_type: MosType::Nmos,
+            w: 10e-6,
+            l: 0.18e-6,
+            vth0: 0.45,
+            kp: 170e-6,
+            lambda: 0.1,
+            cox: 8.4e-3,
+            cov: 3.0e-10,
+            cj: 1.0e-3,
+            ldiff: 0.5e-6,
+        };
+        ckt.add(Mosfet::new("M1", c, vin, a, Circuit::GROUND, params));
+        let x_op = op::solve(&ckt)
+            .expect("operating point")
+            .solution()
+            .to_vec();
+        let sys = System::new(&ckt);
+        let tape = sys.ac_tape(&x_op);
+        let mut sp = sys.build_ac_sparse(&tape).expect("pattern");
+        let slots = sp.slot_map(&tape).expect("every entry patterned");
+        let (dim, gmin) = (sys.dim(), 1e-12);
+        for f in [0.0, 1e6, 3.3e9, 60e9] {
+            let omega = 2.0 * std::f64::consts::PI * f;
+            sp.assemble(&tape, &slots, omega, gmin);
+            let mut dense = ComplexMatrix::zeros(dim, dim);
+            for e in tape.entries() {
+                dense[(e.row, e.col)] += e.at(omega);
+            }
+            for i in 0..sys.n_nodes() {
+                dense[(i, i)] += Complex64::from_real(gmin);
+            }
+            for r in 0..dim {
+                for c in 0..dim {
+                    let (s, d) = (sp.mat.get(r, c), dense[(r, c)]);
+                    assert!(
+                        s.re.to_bits() == d.re.to_bits() && s.im.to_bits() == d.im.to_bits(),
+                        "f = {f}: ({r},{c}) sparse {s:?} vs dense {d:?}"
+                    );
+                }
+            }
+        }
+        // The excitation is recorded once, ω-independent.
+        let n_rhs = tape.rhs().iter().filter(|z| **z != Complex64::ZERO).count();
+        assert_eq!(n_rhs, 2, "V1's branch row and I1's ungrounded terminal");
+    }
+
+    #[test]
+    fn ac_slot_map_flags_missing_position() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.add(Resistor::new("R1", a, Circuit::GROUND, 1e3));
+        ckt.add(Resistor::new("R2", b, Circuit::GROUND, 1e3));
+        let sys = System::new(&ckt);
+        let tape = sys.ac_tape(&[0.0, 0.0]);
+        let sp = sys.build_ac_sparse(&tape).expect("pattern");
+        assert!(sp.slot_map(&tape).is_some());
+        // A coupling between the two islands is outside the pattern.
+        let mut other = AcTape::new(2);
+        AcStamper::new(&mut other, 2).capacitance(Some(0), Some(1), 1e-12);
+        assert!(sp.slot_map(&other).is_none());
     }
 }

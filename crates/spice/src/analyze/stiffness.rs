@@ -1,10 +1,9 @@
 //! Pass 3: stiffness / time-constant spectrum.
 //!
 //! Estimates a per-node RC time constant `τ_i = C_ii / G_ii` from the local
-//! AC stamps evaluated at the interval-box midpoint: one `G + jωC` assembly
-//! at `ω = 1 rad/s` gives `C_ii` as the imaginary diagonal and `G_ii` as the
-//! real diagonal (plus the solver's gmin, which really is in the transient
-//! Jacobian). The diagonal Gershgorin-style estimate ignores off-diagonal
+//! AC stamps evaluated at the interval-box midpoint: `G_ii` and `C_ii` are
+//! summed straight off the small-signal tape's diagonal entries (plus the
+//! solver's gmin on `G_ii`, which really is in the transient Jacobian). The diagonal Gershgorin-style estimate ignores off-diagonal
 //! coupling, so it is a *spectrum sketch*, not an eigensolve — good enough
 //! to recommend an initial `dt` and to flag spectra whose `τ_max/τ_min`
 //! ratio will make LTE-adaptive stepping thrash (`A005`).
@@ -15,9 +14,10 @@
 //! spuriously infinite τ).
 
 use super::{AnalyzeCode, AnalyzeOptions, Finding, StiffnessSummary};
+use crate::analysis::System;
 use crate::circuit::{Circuit, NodeId};
-use crate::element::{AcStamper, DcTransfer};
-use cml_numeric::{Complex64, ComplexMatrix, Interval};
+use crate::element::DcTransfer;
+use cml_numeric::Interval;
 
 pub(crate) fn stiffness(
     ckt: &Circuit,
@@ -63,28 +63,21 @@ pub(crate) fn stiffness(
         }
     }
 
-    let omega = 1.0;
-    let mut matrix = ComplexMatrix::zeros(dim, dim);
-    let mut rhs = vec![Complex64::ZERO; dim];
-    let mut bb = 0;
-    for e in ckt.elements() {
-        let mut stamper = AcStamper::new(&mut matrix, &mut rhs, n_nodes);
-        e.stamp_ac(&x_mid, bb, omega, &mut stamper);
-        bb += e.num_branches();
+    // Node diagonals `(G_ii, C_ii)`, summed in tape order.
+    let mut diag = vec![(0.0, 0.0); n_nodes];
+    for e in System::new(ckt).ac_tape(&x_mid).entries() {
+        if e.row == e.col && e.row < n_nodes {
+            diag[e.row].0 += e.g;
+            diag[e.row].1 += e.c;
+        }
     }
 
     let mut taus: Vec<(usize, f64)> = Vec::new();
-    for i in 0..n_nodes {
-        if pinned[i] {
-            continue;
+    for (i, &(g, c)) in diag.iter().enumerate() {
+        if pinned[i] || c <= 1e-21 {
+            continue; // pinned, or no usable local capacitance
         }
-        let d = matrix[(i, i)];
-        let c = d.im / omega;
-        if c <= 1e-21 {
-            continue; // no usable local capacitance
-        }
-        let g = d.re.abs() + opts.gmin;
-        taus.push((i, c / g));
+        taus.push((i, c / (g.abs() + opts.gmin)));
     }
 
     if taus.is_empty() {

@@ -143,12 +143,12 @@ impl Element for Diode {
         );
     }
 
-    fn stamp_ac(&self, x_op: &[f64], _bb: usize, omega: f64, out: &mut AcStamper<'_>) {
+    fn stamp_ac(&self, x_op: &[f64], _bb: usize, out: &mut AcStamper<'_>) {
         let va = self.a.index().map_or(0.0, |i| x_op[i]);
         let vk = self.k.index().map_or(0.0, |i| x_op[i]);
         let (_, g) = self.iv(va - vk);
         out.conductance(self.a.index(), self.k.index(), g);
-        out.capacitance(self.a.index(), self.k.index(), self.params.cj0, omega);
+        out.capacitance(self.a.index(), self.k.index(), self.params.cj0);
     }
 
     fn dc_power(&self, x_op: &[f64], _bb: usize) -> Option<f64> {

@@ -368,7 +368,7 @@ impl Element for Mosfet {
         );
     }
 
-    fn stamp_ac(&self, x_op: &[f64], _bb: usize, omega: f64, out: &mut AcStamper<'_>) {
+    fn stamp_ac(&self, x_op: &[f64], _bb: usize, out: &mut AcStamper<'_>) {
         let vd = self.d.index().map_or(0.0, |i| x_op[i]);
         let vg = self.g.index().map_or(0.0, |i| x_op[i]);
         let vs = self.s.index().map_or(0.0, |i| x_op[i]);
@@ -390,9 +390,9 @@ impl Element for Mosfet {
             self.s.index(),
             self.b.index(),
         );
-        out.capacitance(g, s, self.params.cgs(), omega);
-        out.capacitance(g, d, self.params.cgd(), omega);
-        out.capacitance(d, b, self.params.cjunc(), omega);
+        out.capacitance(g, s, self.params.cgs());
+        out.capacitance(g, d, self.params.cgd());
+        out.capacitance(d, b, self.params.cjunc());
     }
 
     fn dc_power(&self, x_op: &[f64], _bb: usize) -> Option<f64> {

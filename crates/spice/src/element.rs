@@ -9,7 +9,7 @@
 
 use crate::circuit::NodeId;
 use cml_numeric::sparse::CsrMatrix;
-use cml_numeric::{Complex64, ComplexMatrix, DenseMatrix};
+use cml_numeric::{Complex64, DenseMatrix};
 use std::fmt;
 
 /// Numerical integration method for transient companion models.
@@ -283,81 +283,72 @@ impl<'a> Stamper<'a> {
     }
 }
 
-/// Where matrix writes of an [`AcStamper`] go — the complex mirror of
-/// [`MatSink`], minus the discard mode (AC has no RHS-only reuse: the
-/// matrix changes at every frequency).
-#[derive(Debug)]
-enum AcMatSink<'a> {
-    /// Accumulate into a dense complex MNA matrix.
-    Dense(&'a mut ComplexMatrix),
-    /// Record `(row, col)` of every write; values are discarded. Used
-    /// once per topology to discover the frequency-independent union
-    /// pattern of `G + jωC`.
-    Pattern(&'a mut Vec<(usize, usize)>),
-    /// Accumulate into the reserved slots of a fixed-pattern complex CSR
-    /// matrix, with stamp-pointer caching through `slots`.
-    Sparse {
-        mat: &'a mut CsrMatrix<Complex64>,
-        slots: &'a mut StampSlots,
-    },
+/// One small-signal matrix entry: the admittance `g + jω·c` added at
+/// (`row`, `col`). `g` is the conductance part, `c` the susceptance per
+/// rad/s (a capacitance, or `−L` on an inductor's branch diagonal).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AcEntry {
+    pub(crate) row: usize,
+    pub(crate) col: usize,
+    pub(crate) g: f64,
+    pub(crate) c: f64,
 }
 
-/// Write access to the complex small-signal MNA system.
+impl AcEntry {
+    /// The entry's value at angular frequency `omega`.
+    #[inline]
+    pub(crate) fn at(&self, omega: f64) -> Complex64 {
+        Complex64::new(self.g, omega * self.c)
+    }
+}
+
+/// The frequency-independent small-signal system `G + jωC`, `b` of one
+/// circuit around one operating point, recorded once per AC sweep.
 ///
-/// Like [`Stamper`], the matrix side is pluggable: the sparse AC path
-/// discovers the stamp pattern once per topology via
-/// [`AcStamper::pattern`] and then re-stamps values into the reserved
-/// CSR slots via [`AcStamper::sparse`] at every frequency point.
+/// Matrix entries keep the order the elements wrote them in; replaying
+/// `vals[slot] += entry.at(ω)` in that order assembles the system at any
+/// frequency. The RHS does not depend on `ω` and is accumulated as it is
+/// recorded.
+#[derive(Debug)]
+pub(crate) struct AcTape {
+    entries: Vec<AcEntry>,
+    rhs: Vec<Complex64>,
+}
+
+impl AcTape {
+    /// An empty tape for a system of `dim` unknowns.
+    pub(crate) fn new(dim: usize) -> Self {
+        AcTape {
+            entries: Vec::new(),
+            rhs: vec![Complex64::ZERO; dim],
+        }
+    }
+
+    /// Matrix entries in write order.
+    pub(crate) fn entries(&self) -> &[AcEntry] {
+        &self.entries
+    }
+
+    /// The excitation vector.
+    pub(crate) fn rhs(&self) -> &[Complex64] {
+        &self.rhs
+    }
+}
+
+/// Write access to the small-signal tape of an AC sweep, with
+/// ground-aware indexing. Every matrix write is an admittance
+/// `g + jω·c` given as its two real coefficients.
 #[derive(Debug)]
 pub struct AcStamper<'a> {
-    matrix: AcMatSink<'a>,
-    rhs: &'a mut [Complex64],
+    tape: &'a mut AcTape,
     n_nodes: usize,
 }
 
 impl<'a> AcStamper<'a> {
-    /// Creates an AC stamper over a system with `n_nodes` non-ground nodes.
-    pub fn new(matrix: &'a mut ComplexMatrix, rhs: &'a mut [Complex64], n_nodes: usize) -> Self {
-        AcStamper {
-            matrix: AcMatSink::Dense(matrix),
-            rhs,
-            n_nodes,
-        }
-    }
-
-    /// Creates an AC stamper that records the `(row, col)` position of
-    /// every matrix write into `positions` instead of accumulating values
-    /// — the pattern-discovery pass of the sparse AC path. The recorded
-    /// union pattern is frequency-independent because every element
-    /// writes its full `G + jωC` footprint regardless of `omega`.
-    pub fn pattern(
-        positions: &'a mut Vec<(usize, usize)>,
-        rhs: &'a mut [Complex64],
-        n_nodes: usize,
-    ) -> Self {
-        AcStamper {
-            matrix: AcMatSink::Pattern(positions),
-            rhs,
-            n_nodes,
-        }
-    }
-
-    /// Creates an AC stamper that accumulates matrix writes directly into
-    /// the reserved nonzero slots of `matrix` (a fixed-pattern complex
-    /// CSR built by the analysis), using — and maintaining — the
-    /// stamp-pointer cache in `slots`. Call [`StampSlots::begin_pass`]
-    /// before each assembly.
-    pub fn sparse(
-        matrix: &'a mut CsrMatrix<Complex64>,
-        slots: &'a mut StampSlots,
-        rhs: &'a mut [Complex64],
-        n_nodes: usize,
-    ) -> Self {
-        AcStamper {
-            matrix: AcMatSink::Sparse { mat: matrix, slots },
-            rhs,
-            n_nodes,
-        }
+    /// Creates an AC stamper recording into `tape`, over a system with
+    /// `n_nodes` non-ground nodes.
+    pub(crate) fn new(tape: &'a mut AcTape, n_nodes: usize) -> Self {
+        AcStamper { tape, n_nodes }
     }
 
     /// Row/column index of a branch unknown.
@@ -366,62 +357,37 @@ impl<'a> AcStamper<'a> {
         self.n_nodes + branch
     }
 
-    /// Adds `v` at (`r`, `c`), dropping ground writes.
-    pub fn mat(&mut self, r: Option<usize>, c: Option<usize>, v: Complex64) {
-        let (Some(r), Some(c)) = (r, c) else { return };
-        match &mut self.matrix {
-            AcMatSink::Dense(m) => m[(r, c)] += v,
-            AcMatSink::Pattern(p) => p.push((r, c)),
-            AcMatSink::Sparse { mat, slots } => {
-                let cur = slots.cursor;
-                if let Some(&(er, ec, es)) = slots.seq.get(cur) {
-                    if er == r && ec == c {
-                        mat.vals_mut()[es] += v;
-                        slots.cursor = cur + 1;
-                        return;
-                    }
-                }
-                // Cache miss: repair this position and keep going, as in
-                // the real-valued stamper.
-                match mat.find(r, c) {
-                    Some(s) => {
-                        mat.vals_mut()[s] += v;
-                        if cur < slots.seq.len() {
-                            slots.seq[cur] = (r, c, s);
-                        } else {
-                            slots.seq.push((r, c, s));
-                        }
-                        slots.cursor = cur + 1;
-                    }
-                    None => slots.missing = true,
-                }
-            }
-        }
+    /// Adds `g + jω·c` at (`row`, `col`), dropping ground writes.
+    pub fn mat(&mut self, row: Option<usize>, col: Option<usize>, g: f64, c: f64) {
+        let (Some(row), Some(col)) = (row, col) else {
+            return;
+        };
+        self.tape.entries.push(AcEntry { row, col, g, c });
     }
 
     /// Adds `v` to the RHS at `r` (dropped for ground).
     pub fn rhs(&mut self, r: Option<usize>, v: Complex64) {
         if let Some(r) = r {
-            self.rhs[r] += v;
+            self.tape.rhs[r] += v;
         }
     }
 
-    /// Stamps a complex admittance `y` between nodes `a` and `b`.
-    pub fn admittance(&mut self, a: Option<usize>, b: Option<usize>, y: Complex64) {
-        self.mat(a, a, y);
-        self.mat(b, b, y);
-        self.mat(a, b, -y);
-        self.mat(b, a, -y);
+    /// Stamps an admittance `g + jω·c` between nodes `a` and `b`.
+    pub fn admittance(&mut self, a: Option<usize>, b: Option<usize>, g: f64, c: f64) {
+        self.mat(a, a, g, c);
+        self.mat(b, b, g, c);
+        self.mat(a, b, -g, -c);
+        self.mat(b, a, -g, -c);
     }
 
     /// Stamps a real conductance between nodes `a` and `b`.
     pub fn conductance(&mut self, a: Option<usize>, b: Option<usize>, g: f64) {
-        self.admittance(a, b, Complex64::from_real(g));
+        self.admittance(a, b, g, 0.0);
     }
 
-    /// Stamps a capacitance `c` between `a` and `b` at angular frequency `omega`.
-    pub fn capacitance(&mut self, a: Option<usize>, b: Option<usize>, c: f64, omega: f64) {
-        self.admittance(a, b, Complex64::new(0.0, omega * c));
+    /// Stamps a capacitance `c` between `a` and `b`.
+    pub fn capacitance(&mut self, a: Option<usize>, b: Option<usize>, c: f64) {
+        self.admittance(a, b, 0.0, c);
     }
 
     /// Stamps a transconductance: current `gm·(v_cp − v_cn)` flowing from
@@ -434,11 +400,10 @@ impl<'a> AcStamper<'a> {
         cn: Option<usize>,
         gm: f64,
     ) {
-        let g = Complex64::from_real(gm);
-        self.mat(a, cp, g);
-        self.mat(a, cn, -g);
-        self.mat(b, cp, -g);
-        self.mat(b, cn, g);
+        self.mat(a, cp, gm, 0.0);
+        self.mat(a, cn, -gm, 0.0);
+        self.mat(b, cp, -gm, 0.0);
+        self.mat(b, cn, gm, 0.0);
     }
 }
 
@@ -611,9 +576,15 @@ pub trait Element: fmt::Debug + Send + Sync {
     /// smooth elements keep the empty default.
     fn breakpoints(&self, _t_stop: f64, _out: &mut Vec<f64>) {}
 
-    /// Stamps the small-signal contribution at angular frequency `omega`,
-    /// linearized around the operating point `x_op`.
-    fn stamp_ac(&self, x_op: &[f64], branch_base: usize, omega: f64, out: &mut AcStamper<'_>);
+    /// Stamps the small-signal contribution linearized around the
+    /// operating point `x_op`.
+    ///
+    /// The stamp must not depend on frequency: every matrix write is an
+    /// admittance whose value at angular frequency `ω` is `g + jω·c`
+    /// (see [`AcStamper::mat`]), and the RHS is `ω`-independent. An AC
+    /// sweep calls this once per element and replays the recorded stamp
+    /// at every frequency point.
+    fn stamp_ac(&self, x_op: &[f64], branch_base: usize, out: &mut AcStamper<'_>);
 
     /// DC power dissipated by the element at operating point `x_op`, in
     /// watts; `None` when the notion does not apply. Sources report the
@@ -722,80 +693,45 @@ mod tests {
 
     #[test]
     fn ac_capacitance_is_imaginary() {
-        let mut m = ComplexMatrix::zeros(1, 1);
-        let mut rhs = vec![Complex64::ZERO; 1];
-        let mut s = AcStamper::new(&mut m, &mut rhs, 1);
-        s.capacitance(Some(0), None, 1e-12, 2.0 * std::f64::consts::PI * 1e9);
-        assert_eq!(m[(0, 0)].re, 0.0);
-        assert!(m[(0, 0)].im > 0.0);
+        let mut tape = AcTape::new(1);
+        let mut s = AcStamper::new(&mut tape, 1);
+        s.capacitance(Some(0), None, 1e-12);
+        assert_eq!(tape.entries().len(), 1, "ground writes are dropped");
+        let y = tape.entries()[0].at(2.0 * std::f64::consts::PI * 1e9);
+        assert_eq!(y.re, 0.0);
+        assert!(y.im > 0.0);
     }
 
     #[test]
     fn transconductance_pattern() {
-        let mut m = ComplexMatrix::zeros(4, 4);
-        let mut rhs = vec![Complex64::ZERO; 4];
-        let mut s = AcStamper::new(&mut m, &mut rhs, 4);
+        let mut tape = AcTape::new(4);
+        let mut s = AcStamper::new(&mut tape, 4);
         s.transconductance(Some(0), Some(1), Some(2), Some(3), 0.01);
-        assert_eq!(m[(0, 2)].re, 0.01);
-        assert_eq!(m[(0, 3)].re, -0.01);
-        assert_eq!(m[(1, 2)].re, -0.01);
-        assert_eq!(m[(1, 3)].re, 0.01);
+        let got: Vec<(usize, usize, f64, f64)> = tape
+            .entries()
+            .iter()
+            .map(|e| (e.row, e.col, e.g, e.c))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, 2, 0.01, 0.0),
+                (0, 3, -0.01, 0.0),
+                (1, 2, -0.01, 0.0),
+                (1, 3, 0.01, 0.0)
+            ]
+        );
     }
 
     #[test]
-    fn ac_sparse_sink_matches_dense() {
-        // Record the pattern, then stamp the same contributions into a
-        // dense matrix and into the fixed-pattern CSR: identical entries.
-        let n = 3;
-        let omega = 2.0 * std::f64::consts::PI * 1e9;
-        let stamp_all = |s: &mut AcStamper<'_>| {
-            s.conductance(Some(0), Some(1), 1e-3);
-            s.capacitance(Some(1), Some(2), 2e-12, omega);
-            s.transconductance(Some(2), None, Some(0), Some(1), 0.02);
-            s.rhs(Some(0), Complex64::ONE);
-        };
-
-        let mut positions = Vec::new();
-        let mut rhs_p = vec![Complex64::ZERO; n];
-        let mut rec = AcStamper::pattern(&mut positions, &mut rhs_p, n);
-        stamp_all(&mut rec);
-        let mut csr = CsrMatrix::<Complex64>::from_pattern(n, n, &positions).unwrap();
-        let mut slots = StampSlots::default();
-
-        let mut dense = ComplexMatrix::zeros(n, n);
-        let mut rhs_d = vec![Complex64::ZERO; n];
-        let mut ds = AcStamper::new(&mut dense, &mut rhs_d, n);
-        stamp_all(&mut ds);
-
-        // Two sparse passes: the first fills the slot cache, the second
-        // replays it; both must agree with the dense stamp.
-        for _ in 0..2 {
-            csr.clear_vals();
-            let mut rhs_s = vec![Complex64::ZERO; n];
-            slots.begin_pass();
-            let mut ss = AcStamper::sparse(&mut csr, &mut slots, &mut rhs_s, n);
-            stamp_all(&mut ss);
-            assert!(!slots.missing());
-            for r in 0..n {
-                for c in 0..n {
-                    assert_eq!(csr.get(r, c), dense[(r, c)], "({r},{c})");
-                }
-            }
-            assert_eq!(rhs_s, rhs_d);
-        }
-    }
-
-    #[test]
-    fn ac_sparse_sink_flags_missing_position() {
-        let mut positions = vec![(0usize, 0usize)];
-        let mut csr = CsrMatrix::<Complex64>::from_pattern(2, 2, &positions).unwrap();
-        positions.clear();
-        let mut slots = StampSlots::default();
-        let mut rhs = vec![Complex64::ZERO; 2];
-        slots.begin_pass();
-        let mut s = AcStamper::sparse(&mut csr, &mut slots, &mut rhs, 2);
-        s.mat(Some(1), Some(1), Complex64::ONE); // not in the pattern
-        assert!(slots.missing());
+    fn ac_tape_accumulates_rhs() {
+        let mut tape = AcTape::new(2);
+        let mut s = AcStamper::new(&mut tape, 2);
+        s.rhs(Some(1), Complex64::ONE);
+        s.rhs(None, Complex64::ONE);
+        s.rhs(Some(1), Complex64::new(0.5, 0.0));
+        assert!(tape.entries().is_empty());
+        assert_eq!(tape.rhs(), &[Complex64::ZERO, Complex64::new(1.5, 0.0)]);
     }
 
     #[test]

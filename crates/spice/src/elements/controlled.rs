@@ -7,7 +7,6 @@
 use crate::circuit::NodeId;
 use crate::element::{AcStamper, DcCoupling, Element, ElementKind, StampCtx, Stamper};
 use crate::lint::LintCode;
-use cml_numeric::Complex64;
 
 /// Voltage-controlled voltage source: `v(a,b) = gain · v(cp,cn)`.
 ///
@@ -75,18 +74,16 @@ impl Element for Vcvs {
         out.mat(Some(br), cn, self.gain);
     }
 
-    fn stamp_ac(&self, _x_op: &[f64], bb: usize, _omega: f64, out: &mut AcStamper<'_>) {
+    fn stamp_ac(&self, _x_op: &[f64], bb: usize, out: &mut AcStamper<'_>) {
         let (a, b) = (self.a.index(), self.b.index());
         let (cp, cn) = (self.cp.index(), self.cn.index());
         let br = out.branch(bb);
-        let one = Complex64::ONE;
-        let g = Complex64::from_real(self.gain);
-        out.mat(a, Some(br), one);
-        out.mat(b, Some(br), -one);
-        out.mat(Some(br), a, one);
-        out.mat(Some(br), b, -one);
-        out.mat(Some(br), cp, -g);
-        out.mat(Some(br), cn, g);
+        out.mat(a, Some(br), 1.0, 0.0);
+        out.mat(b, Some(br), -1.0, 0.0);
+        out.mat(Some(br), a, 1.0, 0.0);
+        out.mat(Some(br), b, -1.0, 0.0);
+        out.mat(Some(br), cp, -self.gain, 0.0);
+        out.mat(Some(br), cn, self.gain, 0.0);
     }
 
     fn kind(&self) -> ElementKind {
@@ -158,7 +155,7 @@ impl Element for Vccs {
         out.mat(b, cn, self.gm);
     }
 
-    fn stamp_ac(&self, _x_op: &[f64], _bb: usize, _omega: f64, out: &mut AcStamper<'_>) {
+    fn stamp_ac(&self, _x_op: &[f64], _bb: usize, out: &mut AcStamper<'_>) {
         out.transconductance(
             self.a.index(),
             self.b.index(),

@@ -96,13 +96,13 @@ impl Element for Vsource {
         self.waveform.breakpoints(t_stop, out);
     }
 
-    fn stamp_ac(&self, _x_op: &[f64], bb: usize, _omega: f64, out: &mut AcStamper<'_>) {
+    fn stamp_ac(&self, _x_op: &[f64], bb: usize, out: &mut AcStamper<'_>) {
         let (a, b) = (self.a.index(), self.b.index());
         let br = out.branch(bb);
-        out.mat(a, Some(br), Complex64::ONE);
-        out.mat(b, Some(br), -Complex64::ONE);
-        out.mat(Some(br), a, Complex64::ONE);
-        out.mat(Some(br), b, -Complex64::ONE);
+        out.mat(a, Some(br), 1.0, 0.0);
+        out.mat(b, Some(br), -1.0, 0.0);
+        out.mat(Some(br), a, 1.0, 0.0);
+        out.mat(Some(br), b, -1.0, 0.0);
         out.rhs(Some(br), Complex64::from_real(self.ac_mag));
     }
 
@@ -224,7 +224,7 @@ impl Element for Isource {
         self.waveform.breakpoints(t_stop, out);
     }
 
-    fn stamp_ac(&self, _x_op: &[f64], _bb: usize, _omega: f64, out: &mut AcStamper<'_>) {
+    fn stamp_ac(&self, _x_op: &[f64], _bb: usize, out: &mut AcStamper<'_>) {
         let i = Complex64::from_real(self.ac_mag);
         out.rhs(self.a.index(), -i);
         out.rhs(self.b.index(), i);

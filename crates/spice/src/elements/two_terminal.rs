@@ -6,7 +6,6 @@ use crate::element::{
     Stamper,
 };
 use crate::lint::LintCode;
-use cml_numeric::Complex64;
 
 /// A linear resistor between two nodes.
 #[derive(Debug, Clone)]
@@ -58,7 +57,7 @@ impl Element for Resistor {
         out.conductance(self.a.index(), self.b.index(), 1.0 / self.ohms);
     }
 
-    fn stamp_ac(&self, _x_op: &[f64], _bb: usize, _omega: f64, out: &mut AcStamper<'_>) {
+    fn stamp_ac(&self, _x_op: &[f64], _bb: usize, out: &mut AcStamper<'_>) {
         out.conductance(self.a.index(), self.b.index(), 1.0 / self.ohms);
     }
 
@@ -203,8 +202,8 @@ impl Element for Capacitor {
         }
     }
 
-    fn stamp_ac(&self, _x_op: &[f64], _bb: usize, omega: f64, out: &mut AcStamper<'_>) {
-        out.capacitance(self.a.index(), self.b.index(), self.farads, omega);
+    fn stamp_ac(&self, _x_op: &[f64], _bb: usize, out: &mut AcStamper<'_>) {
+        out.capacitance(self.a.index(), self.b.index(), self.farads);
     }
 
     fn kind(&self) -> ElementKind {
@@ -343,18 +342,14 @@ impl Element for Inductor {
         state_next[1] = ctx.x[ctx.branch_base_abs()];
     }
 
-    fn stamp_ac(&self, _x_op: &[f64], bb: usize, omega: f64, out: &mut AcStamper<'_>) {
+    fn stamp_ac(&self, _x_op: &[f64], bb: usize, out: &mut AcStamper<'_>) {
         let (a, b) = (self.a.index(), self.b.index());
         let br = out.branch(bb);
-        out.mat(a, Some(br), Complex64::ONE);
-        out.mat(b, Some(br), -Complex64::ONE);
-        out.mat(Some(br), a, Complex64::ONE);
-        out.mat(Some(br), b, -Complex64::ONE);
-        out.mat(
-            Some(br),
-            Some(br),
-            Complex64::new(0.0, -omega * self.henries),
-        );
+        out.mat(a, Some(br), 1.0, 0.0);
+        out.mat(b, Some(br), -1.0, 0.0);
+        out.mat(Some(br), a, 1.0, 0.0);
+        out.mat(Some(br), b, -1.0, 0.0);
+        out.mat(Some(br), Some(br), 0.0, -self.henries);
     }
 
     fn kind(&self) -> ElementKind {

@@ -152,7 +152,7 @@ pub struct Counters {
     /// factorization.
     pub ac_points_sparse: u64,
     /// AC points that fell back from sparse replay to a per-point dense
-    /// solve (pattern miss or pivot death at that frequency).
+    /// solve (pivot death at that frequency).
     pub ac_point_fallbacks: u64,
     /// Accepted transient steps (fixed and adaptive modes).
     pub tran_steps: u64,

@@ -1,7 +1,7 @@
 # Development task runner. Same gates as .github/workflows/ci.yml.
 
 # Run every CI gate locally.
-ci: fmt-check clippy test lint-circuits analyze-circuits gates-smoke
+ci: fmt-check clippy test perfbench-selftest lint-circuits analyze-circuits gates-smoke
 
 # Formatting gate.
 fmt-check:
@@ -19,6 +19,12 @@ clippy:
 test:
     cargo build --release
     cargo test -q --no-fail-fast
+
+# Benchmark self-tests: every perfbench workload at 1 and 2 threads,
+# checked against its committed reference outputs (about 35 s with the
+# build).
+perfbench-selftest:
+    cargo test --release --manifest-path perfbench/Cargo.toml
 
 # Static netlist DRC over every generated circuit block (fails on any
 # error-level diagnostic; `cml-lint --codes` documents the code table).

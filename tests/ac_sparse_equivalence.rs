@@ -7,9 +7,10 @@
 //! dense and sparse sweeps agree to ≤ 1e-9 on every seed cell over a
 //! 200-point grid without a single sparse→dense fallback, and the
 //! parallel sweep is bit-identical to the serial one for any thread
-//! count. A property test additionally checks the complex sparse
-//! factorization against dense complex elimination on random
-//! diagonally-dominant MNA-shaped systems.
+//! count. Every path stamps each element exactly once per sweep. A
+//! property test additionally checks the complex sparse factorization
+//! against dense complex elimination on random diagonally-dominant
+//! MNA-shaped systems.
 
 // Driver-style target: aborting on a malformed result with a message
 // is the intended failure mode, so expect/unwrap are fine here.
@@ -25,9 +26,12 @@ use cml_numeric::{logspace, Complex64, ComplexMatrix, SparseLu};
 use cml_pdk::Pdk018;
 use cml_spice::analysis::ac::{self, AcResult};
 use cml_spice::analysis::{op, NewtonOptions};
+use cml_spice::element::{AcStamper, Element, StampCtx, Stamper};
 use cml_spice::prelude::*;
 use cml_spice::telemetry::Telemetry;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn equalizer_circuit() -> Circuit {
     let pdk = Pdk018::typical();
@@ -175,6 +179,96 @@ fn ac_parallel_is_bit_identical_to_serial() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// A shunt conductance plus capacitance to ground that counts its
+/// small-signal stamps.
+#[derive(Debug)]
+struct CountingShunt {
+    node: NodeId,
+    g: f64,
+    c: f64,
+    ac_stamps: Arc<AtomicUsize>,
+}
+
+impl Element for CountingShunt {
+    fn name(&self) -> &str {
+        "XCOUNT"
+    }
+
+    fn nodes(&self) -> Vec<NodeId> {
+        vec![self.node, Circuit::GROUND]
+    }
+
+    fn stamp(&self, _ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
+        out.conductance(self.node.index(), None, self.g);
+    }
+
+    fn stamp_ac(&self, _x_op: &[f64], _bb: usize, out: &mut AcStamper<'_>) {
+        self.ac_stamps.fetch_add(1, Ordering::Relaxed);
+        out.conductance(self.node.index(), None, self.g);
+        out.capacitance(self.node.index(), None, self.c);
+    }
+}
+
+#[test]
+fn ac_sweep_stamps_each_element_once() {
+    let ac_stamps = Arc::new(AtomicUsize::new(0));
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    let out = ckt.node("out");
+    ckt.add(Vsource::dc("V1", vin, Circuit::GROUND, 0.0).with_ac(1.0));
+    ckt.add(Resistor::new("R1", vin, out, 1e3));
+    ckt.add(CountingShunt {
+        node: out,
+        g: 1e-3,
+        c: 1e-12,
+        ac_stamps: Arc::clone(&ac_stamps),
+    });
+    let uncached = NewtonOptions {
+        cache: false,
+        ..NewtonOptions::default()
+    };
+    let x_op = op::solve_with(&ckt, &uncached, None).expect("operating point");
+    let freqs = logspace(1e6, 60e9, 64);
+    let sparse = NewtonOptions {
+        sparse_threshold: 1,
+        ..uncached
+    };
+    let dense = NewtonOptions {
+        sparse_threshold: usize::MAX,
+        ..uncached
+    };
+    // This circuit's topology is new to the process, so the first cached
+    // sweep derives its AC pattern and reference factorization cold.
+    let cold_cache = NewtonOptions {
+        cache: true,
+        ..sparse
+    };
+    for (path, opts, threads) in [
+        ("sparse, 1 thread", sparse, 1),
+        ("sparse, 2 threads", sparse, 2),
+        ("dense", dense, 1),
+        ("cold cache", cold_cache, 2),
+    ] {
+        ac_stamps.store(0, Ordering::Relaxed);
+        let tel = Telemetry::enabled();
+        let res = ac::sweep_traced(&ckt, x_op.solution(), &freqs, &opts, threads, &tel)
+            .expect("ac sweep");
+        assert_eq!(res.freqs().len(), freqs.len());
+        assert_eq!(
+            ac_stamps.load(Ordering::Relaxed),
+            1,
+            "{path}: stamp_ac calls per sweep"
+        );
+        let c = tel.report().counters;
+        assert_eq!(c.ac_points, 64, "{path}");
+        let want_sparse = if opts.sparse_threshold == 1 { 64 } else { 0 };
+        assert_eq!(c.ac_points_sparse, want_sparse, "{path}");
+        if path == "cold cache" && cml_cache::enabled() {
+            assert!(c.cache_misses >= 2, "{path}: AC reference was not cold");
         }
     }
 }

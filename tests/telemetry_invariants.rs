@@ -24,7 +24,7 @@ use cml_numeric::logspace;
 use cml_spice::analysis::tran::{self, TranConfig};
 use cml_spice::analysis::{ac, op, NewtonOptions};
 use cml_spice::prelude::*;
-use cml_spice::telemetry::{Counters, Telemetry};
+use cml_spice::telemetry::{Counters, Phase, Telemetry};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -146,6 +146,39 @@ fn ac_counters_identical_for_any_thread_count() {
             "counter totals changed between 1 and {threads} threads"
         );
     }
+}
+
+#[test]
+fn fine_ac_sweep_times_refactor_and_back_substitution_apart() {
+    let _g = lock();
+    let ckt = equalizer_circuit();
+    let x_op = op::solve(&ckt).expect("operating point");
+    let freqs = logspace(1e6, 60e9, 64);
+    let report_at = |threads: usize| {
+        let tel = Telemetry::enabled_fine();
+        ac::sweep_traced(&ckt, x_op.solution(), &freqs, &sparse_opts(), threads, &tel)
+            .expect("ac sweep");
+        tel.report()
+    };
+    let serial = report_at(1);
+    assert_eq!(serial.counters.ac_points_sparse, 64, "sparse path engaged");
+    for phase in [Phase::Refactor, Phase::BackSubstitute] {
+        assert_eq!(
+            serial.timings.calls[phase.index()],
+            64,
+            "{phase:?}: one timed call per sparse point"
+        );
+    }
+    assert!(
+        serial.timings.ns[Phase::BackSubstitute.index()] > 0,
+        "AC solves must record back-substitution time"
+    );
+    let parallel = report_at(2);
+    assert_eq!(
+        serial.counters, parallel.counters,
+        "fine-tier AC counters changed between 1 and 2 threads"
+    );
+    assert_eq!(serial.timings.calls, parallel.timings.calls);
 }
 
 #[test]
