@@ -13,8 +13,8 @@
 //! | streaming eye peak RSS growth | one run | < 256 MiB |
 //! | lint precheck / dense transient | avg of 20 / 200 vs one run | < 1 % |
 //! | analyzer / dense transient | avg of 20 / 200 vs one run | < 5 % / < 1 % |
-//! | batched vs scalar Monte-Carlo | one run each | ≥ 3× |
-//! | warm vs cold topology cache | avg of 6 / 40 rounds | ≥ 1.05× / ≥ 1.3× |
+//! | batched vs scalar Monte-Carlo | avg of 10 / 3 interleaved | ≥ 3× |
+//! | warm vs cold topology cache | avg of 30 / 40 interleaved | ≥ 1.05× / ≥ 1.3× |
 //! | telemetry on vs off, transient | median of 15 interleaved | full only: < 2 % |
 //! | telemetry on vs off, AC sweep | median of 25 interleaved | full only: < 2 % |
 //! | event log on vs off, transient | min of 21 interleaved | full only: < 2 % |
@@ -290,16 +290,16 @@ fn precheck_costs(g: &mut Gates, smoke: bool, tel: &Telemetry) {
 
 /// Transistor-level pair-offset trials per second: warm-started
 /// batched lockstep against the per-trial scalar Newton ladder on the
-/// four-stage chain.
+/// four-stage chain, in interleaved rounds.
 fn batched_yield(g: &mut Gates, smoke: bool, threads: usize, tel: &Telemetry) {
-    let n = if smoke { 768 } else { 12_288 };
+    let (n, reps) = if smoke { (768, 10) } else { (12_288, 3) };
     let spec = PairYieldSpec::paper_chain();
     let thresholds = [5e-3, 0.1, 0.5];
     let cfg = YieldConfig::new(n, 0xBEEF)
         .with_chunk(512)
         .with_threads(threads);
     let t = time_ms(
-        1,
+        reps,
         Stat::Avg,
         &mut [
             &mut || {
@@ -312,15 +312,19 @@ fn batched_yield(g: &mut Gates, smoke: bool, threads: usize, tel: &Telemetry) {
             },
         ],
     );
-    println!("     {n} transistor trials, {threads} threads");
+    println!(
+        "     {n} transistor trials, {threads} threads: scalar {:.1} ms/round, batched {:.1} ms/round",
+        t[0], t[1]
+    );
     g.speedup("batched / scalar Monte-Carlo", t[0] / t[1], 3.0);
 }
 
 /// Rounds of lint-prechecked op plus a small AC sweep over four
 /// builtin blocks, with the topology cache off (every round derives
-/// everything) and on (round one primes the interner and is included).
+/// everything) and on (the first warm round primes the interner and is
+/// included), interleaved so that drift hits both legs alike.
 fn warm_cache(g: &mut Gates, smoke: bool, tel: &Telemetry) {
-    let reps = if smoke { 6 } else { 40 };
+    let reps = if smoke { 30 } else { 40 };
     let freqs = logspace(1e6, 60e9, if smoke { 8 } else { 16 });
     let circuits: Vec<Circuit> = ["buffer", "equalizer", "la", "gain"]
         .iter()
@@ -336,9 +340,13 @@ fn warm_cache(g: &mut Gates, smoke: bool, tel: &Telemetry) {
     cml_cache::set_enabled(true);
     // Untimed warmup, so the cold leg does not also pay first touches.
     round(false, &Telemetry::disabled());
-    let cold_ms = time_ms(reps, Stat::Avg, &mut [&mut || round(false, tel)])[0];
     cml_cache::intern::clear_in_memory();
-    let warm_ms = time_ms(reps, Stat::Avg, &mut [&mut || round(true, tel)])[0];
+    let t = time_ms(
+        reps,
+        Stat::Avg,
+        &mut [&mut || round(false, tel), &mut || round(true, tel)],
+    );
+    let (cold_ms, warm_ms) = (t[0], t[1]);
     println!("     cold {cold_ms:.3} ms/round, warm {warm_ms:.3} ms/round");
     let floor = if smoke { 1.05 } else { 1.3 };
     g.speedup("warm / cold topology cache", cold_ms / warm_ms, floor);

@@ -109,6 +109,13 @@ impl DenseMatrix {
         &self.data
     }
 
+    /// Mutable row-major flat view of the entries (`data[r * cols + c]`),
+    /// for writers that resolve flat positions once and then add into
+    /// them many times.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Adds `v` to entry `(r, c)` — the "stamping" primitive used by MNA.
     ///
     /// # Panics

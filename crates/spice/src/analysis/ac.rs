@@ -8,7 +8,7 @@
 //! # One stamp per sweep
 //!
 //! `G`, `C` and the excitation do not depend on frequency, so each
-//! element stamps once per sweep into an [`AcTape`]: the matrix entries
+//! element stamps once per sweep into an `AcTape`: the matrix entries
 //! `(row, col, g, c)` in write order, plus the RHS. Every point then
 //! assembles `G + jωC` by replaying the tape. Replaying `g + jω·c` in the
 //! original write order reproduces the per-point element stamps bit for

@@ -31,8 +31,8 @@
 //! scalar-vs-batched discrepancies bisectable. See DESIGN.md §13.
 //!
 //! Fallback ladder per lane: lockstep Newton → (pivot death, divergence
-//! or iteration exhaustion) → scalar [`op::solve_system`] homotopy
-//! ladder (operating point) or scalar [`System::newton_with`] with step
+//! or iteration exhaustion) → the scalar `op` homotopy ladder
+//! (operating point) or the scalar Newton solve with step
 //! halving on the same time grid (transient). Every eviction increments
 //! the `lane_fallbacks` telemetry counter; batch efficiency is visible
 //! as `lane_occupancy` / `lane_fallback_rate` in the solver report.

@@ -9,6 +9,7 @@ pub mod batch;
 pub mod cache;
 pub mod dc;
 pub mod op;
+mod program;
 pub mod sink;
 pub mod spill;
 pub mod tran;
@@ -21,6 +22,7 @@ use crate::SpiceError;
 use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{Complex64, ComplexMatrix, DenseMatrix, LuFactors, RefactorOutcome, SparseLu};
 use cml_telemetry::{EventKind, Phase, Telemetry};
+use program::{DeviceProgram, Target};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -129,8 +131,9 @@ impl ModeKind {
 
 /// Sparse-path state cached in the Newton workspace: the fixed-pattern
 /// CSR Jacobian, its LU (symbolic analysis + pivot order frozen after
-/// the first factorization), the cached linear-element values, and one
-/// stamp-pointer cache per assembly-pass shape.
+/// the first factorization), the cached linear-element values, the
+/// stamp-pointer caches of the full and linear assembly passes, and the
+/// nonlinear top-up program compiled against this pattern.
 #[derive(Debug, Clone)]
 struct SparseState {
     /// Fixed-pattern Jacobian; only `vals` change between solves.
@@ -142,11 +145,13 @@ struct SparseState {
     lin_vals: Vec<f64>,
     /// Value-slot of each node diagonal, for the gmin stamp.
     diag_slots: Vec<usize>,
-    /// Stamp-pointer caches: full assembly, linear-only assembly, and
-    /// the nonlinear top-up pass.
+    /// Stamp-pointer caches: full assembly and linear-only assembly.
     slots_full: StampSlots,
     slots_lin: StampSlots,
-    slots_nonlin: StampSlots,
+    /// The nonlinear top-up pass with its slots resolved in `mat`;
+    /// compiled on first use by the workspace that owns this state (the
+    /// topology cache's pristine copy never holds one).
+    program: Option<DeviceProgram>,
     /// Mode family the pattern was discovered under.
     kind: ModeKind,
 }
@@ -200,6 +205,9 @@ pub(crate) struct NewtonWorkspace {
     /// meaningful on circuits with no nonlinear devices, where the full
     /// Jacobian *is* the linear matrix).
     factored_key: Option<MatKey>,
+    /// The nonlinear top-up pass compiled for the dense path; the sparse
+    /// path's lives in [`SparseState`].
+    dense_program: Option<DeviceProgram>,
     /// Sparse-path state; `None` until the first solve at or above the
     /// sparse threshold (or after a pattern invalidation).
     sparse: Option<SparseState>,
@@ -227,6 +235,7 @@ impl NewtonWorkspace {
             factors: LuFactors::default(),
             lin_key: None,
             factored_key: None,
+            dense_program: None,
             sparse: None,
             sparse_disabled: false,
             last_solve_sparse: None,
@@ -396,26 +405,6 @@ impl<'a> System<'a> {
         }
     }
 
-    /// Adds the nonlinear-device linearizations at guess `x` on top of
-    /// already-copied linear stamps.
-    fn stamp_nonlinear(
-        &self,
-        x: &[f64],
-        state: &[f64],
-        mode: StampMode,
-        matrix: &mut DenseMatrix,
-        rhs: &mut [f64],
-    ) {
-        for (idx, e) in self.ckt.elements().enumerate() {
-            if !e.is_nonlinear() {
-                continue;
-            }
-            let ctx = self.ctx(idx, e, x, state, mode);
-            let mut stamper = Stamper::new(matrix, rhs, self.n_nodes);
-            e.stamp(&ctx, &mut stamper);
-        }
-    }
-
     /// Discovers the Jacobian sparsity pattern with one recording stamp
     /// pass at `x0`, then builds the fixed-pattern CSR matrix and its
     /// sparse LU. The recorded position set is symmetrized (devices like
@@ -451,7 +440,7 @@ impl<'a> System<'a> {
             diag_slots: diag_slots?,
             slots_full: StampSlots::default(),
             slots_lin: StampSlots::default(),
-            slots_nonlin: StampSlots::default(),
+            program: None,
             kind: ModeKind::of(mode),
         })
     }
@@ -516,28 +505,35 @@ impl<'a> System<'a> {
         Ok(())
     }
 
-    /// Sparse analogue of [`System::stamp_nonlinear`]: tops up the copied
-    /// linear values with the nonlinear-device linearizations at `x`.
-    fn stamp_sparse_nonlinear(
+    /// Compiles the nonlinear top-up program of the current path on
+    /// first use and readies it for one solve. On the sparse path a
+    /// MOSFET position outside the pattern is a
+    /// [`AttemptError::PatternMiss`].
+    fn ready_program(
         &self,
-        x: &[f64],
+        ws: &mut NewtonWorkspace,
+        run_sparse: bool,
         state: &[f64],
         mode: StampMode,
-        sp: &mut SparseState,
-        rhs: &mut [f64],
     ) -> Result<(), AttemptError> {
-        sp.slots_nonlin.begin_pass();
-        for (idx, e) in self.ckt.elements().enumerate() {
-            if !e.is_nonlinear() {
-                continue;
+        let program = if run_sparse {
+            let sp = ws.sparse.as_mut().ok_or_else(no_sparse_state)?;
+            if sp.program.is_none() {
+                let built = DeviceProgram::build(self, |r, c| sp.mat.find(r, c));
+                sp.program = Some(built.ok_or(AttemptError::PatternMiss)?);
             }
-            let ctx = self.ctx(idx, e, x, state, mode);
-            let mut stamper = Stamper::sparse(&mut sp.mat, &mut sp.slots_nonlin, rhs, self.n_nodes);
-            e.stamp(&ctx, &mut stamper);
-        }
-        if sp.slots_nonlin.missing() {
-            return Err(AttemptError::PatternMiss);
-        }
+            &mut sp.program
+        } else {
+            if ws.dense_program.is_none() {
+                let dim = self.dim();
+                ws.dense_program = DeviceProgram::build(self, |r, c| Some(r * dim + c));
+            }
+            &mut ws.dense_program
+        };
+        program
+            .as_mut()
+            .ok_or_else(no_program)?
+            .begin_solve(state, mode);
         Ok(())
     }
 
@@ -565,6 +561,11 @@ impl<'a> System<'a> {
     /// * on circuits with no nonlinear devices the LU factorization
     ///   itself is cached across timesteps, reducing each step from
     ///   O(n³) to an O(n²) substitution.
+    ///
+    /// Each Newton iteration then adds the nonlinear stamps on top of the
+    /// cached linear ones through one compiled pass (`DeviceProgram`,
+    /// built once per workspace and pattern; cap companions once per
+    /// call), in the same order as element-by-element stamping.
     ///
     /// On linear circuits the reuse path is bit-for-bit identical to the
     /// plain path (same stamps, same order, same factorization); with
@@ -648,6 +649,7 @@ impl<'a> System<'a> {
             ws.lin_matrix = DenseMatrix::zeros(dim, dim);
             ws.lin_key = None;
             ws.factored_key = None;
+            ws.dense_program = None;
             ws.sparse = None;
         }
         let use_sparse = !ws.sparse_disabled && dim > 0 && dim >= opts.sparse_threshold;
@@ -697,11 +699,7 @@ impl<'a> System<'a> {
                 self.stamp_linear_rhs(state, mode, &mut ws.lin_rhs);
             } else if run_sparse {
                 tel.count(|c| c.lin_stamp_builds += 1);
-                let Some(sp) = ws.sparse.as_mut() else {
-                    return Err(AttemptError::Spice(SpiceError::Internal {
-                        message: "sparse solve selected without sparse workspace".to_string(),
-                    }));
-                };
+                let sp = ws.sparse.as_mut().ok_or_else(no_sparse_state)?;
                 self.assemble_sparse_linear(state, mode, opts.gmin, sp, &mut ws.lin_rhs)?;
                 sp.lin_vals.clear();
                 sp.lin_vals.extend_from_slice(sp.mat.vals());
@@ -712,6 +710,9 @@ impl<'a> System<'a> {
                 self.assemble_linear(state, mode, opts.gmin, &mut ws.lin_matrix, &mut ws.lin_rhs);
                 ws.lin_key = Some(k);
                 ws.factored_key = None;
+            }
+            if self.has_nonlinear {
+                self.ready_program(ws, run_sparse, state, mode)?;
             }
         }
 
@@ -725,11 +726,7 @@ impl<'a> System<'a> {
         for iter in 0..opts.max_iter {
             tel.count(|c| c.newton_iterations += 1);
             if run_sparse {
-                let Some(sp) = ws.sparse.as_mut() else {
-                    return Err(AttemptError::Spice(SpiceError::Internal {
-                        message: "sparse solve selected without sparse workspace".to_string(),
-                    }));
-                };
+                let sp = ws.sparse.as_mut().ok_or_else(no_sparse_state)?;
                 ws.x_new.resize(dim, 0.0);
                 match key {
                     Some(k) if !self.has_nonlinear => {
@@ -752,7 +749,9 @@ impl<'a> System<'a> {
                         sp.mat.vals_mut().copy_from_slice(&sp.lin_vals);
                         ws.rhs.clear();
                         ws.rhs.extend_from_slice(&ws.lin_rhs);
-                        self.stamp_sparse_nonlinear(&ws.x, state, mode, sp, &mut ws.rhs)?;
+                        let program = sp.program.as_mut().ok_or_else(no_program)?;
+                        let target = Target::Sparse(&mut sp.mat);
+                        program.run(self, &ws.x, state, mode, target, &mut ws.rhs)?;
                         let oc = {
                             let _t = tel.timer_fine(Phase::Refactor);
                             sp.lu.refactor(&sp.mat)?
@@ -796,7 +795,9 @@ impl<'a> System<'a> {
                         ws.matrix.copy_from(&ws.lin_matrix);
                         ws.rhs.clear();
                         ws.rhs.extend_from_slice(&ws.lin_rhs);
-                        self.stamp_nonlinear(&ws.x, state, mode, &mut ws.matrix, &mut ws.rhs);
+                        let program = ws.dense_program.as_mut().ok_or_else(no_program)?;
+                        let target = Target::Dense(&mut ws.matrix);
+                        program.run(self, &ws.x, state, mode, target, &mut ws.rhs)?;
                         {
                             let _t = tel.timer_fine(Phase::Factor);
                             ws.factors.refactor(&ws.matrix)?;
@@ -1029,6 +1030,18 @@ impl AcSparseState {
     }
 }
 
+fn no_sparse_state() -> AttemptError {
+    AttemptError::Spice(SpiceError::Internal {
+        message: "sparse solve selected without sparse workspace".to_string(),
+    })
+}
+
+fn no_program() -> AttemptError {
+    AttemptError::Spice(SpiceError::Internal {
+        message: "nonlinear top-up without a compiled device program".to_string(),
+    })
+}
+
 /// Voltage lookup shared by all result types.
 pub(crate) fn voltage_from(x: &[f64], node: NodeId) -> f64 {
     node.index().map_or(0.0, |i| x[i])
@@ -1148,6 +1161,202 @@ mod tests {
         // The excitation is recorded once, ω-independent.
         let n_rhs = tape.rhs().iter().filter(|z| **z != Complex64::ZERO).count();
         assert_eq!(n_rhs, 2, "V1's branch row and I1's ungrounded terminal");
+    }
+
+    /// A guess-dependent element outside the built-in device set: a
+    /// cubic conductance `i = k·v³` between two nodes.
+    #[derive(Debug)]
+    struct Cubic {
+        a: NodeId,
+        b: NodeId,
+    }
+
+    impl Element for Cubic {
+        fn name(&self) -> &str {
+            "X1"
+        }
+
+        fn nodes(&self) -> Vec<NodeId> {
+            vec![self.a, self.b]
+        }
+
+        fn is_nonlinear(&self) -> bool {
+            true
+        }
+
+        fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
+            let v = ctx.v(self.a) - ctx.v(self.b);
+            let (i, g) = (1e-3 * v * v * v, 3e-3 * v * v);
+            out.conductance(self.a.index(), self.b.index(), g);
+            out.current_source(self.a.index(), self.b.index(), i - g * v);
+        }
+
+        fn stamp_ac(&self, _x_op: &[f64], _bb: usize, _out: &mut AcStamper<'_>) {}
+    }
+
+    #[test]
+    fn device_program_matches_element_stamps_bit_for_bit() {
+        let nmos = MosParams {
+            mos_type: MosType::Nmos,
+            w: 10e-6,
+            l: 0.18e-6,
+            vth0: 0.45,
+            kp: 170e-6,
+            lambda: 0.1,
+            cox: 8.4e-3,
+            cov: 3.0e-10,
+            cj: 1.0e-3,
+            ldiff: 0.5e-6,
+        };
+        let pmos = MosParams {
+            mos_type: MosType::Pmos,
+            kp: 60e-6,
+            ..nmos.clone()
+        };
+        // No overlap or junction capacitance: only `cgs` is stamped.
+        let bare = MosParams {
+            cov: 0.0,
+            cj: 0.0,
+            ..nmos.clone()
+        };
+        let gnd = Circuit::GROUND;
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let (a, b, c) = (ckt.node("a"), ckt.node("b"), ckt.node("c"));
+        let (s, e) = (ckt.node("s"), ckt.node("e"));
+        ckt.add(Vsource::dc("V1", vdd, gnd, 1.8));
+        ckt.add(Resistor::new("R1", vdd, a, 1e3));
+        ckt.add(Mosfet::new("MN", a, c, s, gnd, nmos));
+        ckt.add(Resistor::new("R2", vdd, b, 2e3));
+        ckt.add(Mosfet::new("MP", b, c, vdd, vdd, pmos));
+        ckt.add(Diode::new(
+            "D1",
+            a,
+            e,
+            DiodeParams {
+                cj0: 5e-15,
+                ..DiodeParams::default()
+            },
+        ));
+        ckt.add(Mosfet::new("MZ", e, gnd, gnd, gnd, bare));
+        ckt.add(Cubic { a: b, b: e });
+        ckt.add(Capacitor::new("C1", a, b, 10e-15));
+        ckt.add(Resistor::new("R3", s, gnd, 500.0));
+        ckt.add(Resistor::new("R4", e, gnd, 1e3));
+        let sys = System::new(&ckt);
+        let dim = sys.dim();
+        // Node order: vdd, a, b, c, s, e, then V1's branch current. The
+        // second guess reverses MN, MP and MZ (drain below source).
+        let guesses = [
+            vec![1.8, 1.2, 0.9, 1.0, 0.2, 0.3, -1e-3],
+            vec![1.8, 0.1, 2.0, 1.3, 0.6, -0.2, -2e-3],
+        ];
+        let state: Vec<f64> = (0..sys.state_len())
+            .map(|i| 0.05 * i as f64 - 0.3)
+            .collect();
+        let gmin = 1e-12;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for method in [Integration::Trapezoidal, Integration::BackwardEuler] {
+            let mode = StampMode::Tran {
+                time: 1e-9,
+                dt: 1e-12,
+                method,
+            };
+            // Dense: the linear stamps, then the top-up both ways.
+            let (mut lin, mut lin_rhs) = (DenseMatrix::zeros(dim, dim), Vec::new());
+            sys.assemble_linear(&state, mode, gmin, &mut lin, &mut lin_rhs);
+            let mut program =
+                DeviceProgram::build(&sys, |r, c| Some(r * dim + c)).expect("dense slots");
+            program.begin_solve(&state, mode);
+            // Sparse: the same, into the pattern discovered at the first guess.
+            let mut sp = sys
+                .build_sparse(&guesses[0], &state, mode)
+                .expect("pattern");
+            let mut sp_rhs = Vec::new();
+            assert!(sys
+                .assemble_sparse_linear(&state, mode, gmin, &mut sp, &mut sp_rhs)
+                .is_ok());
+            let lin_vals = sp.mat.vals().to_vec();
+            let mut sp_program =
+                DeviceProgram::build(&sys, |r, c| sp.mat.find(r, c)).expect("sparse slots");
+            sp_program.begin_solve(&state, mode);
+            for x in &guesses {
+                let (mut want, mut want_rhs) = (lin.clone(), lin_rhs.clone());
+                let mut want_sp = sp.mat.clone();
+                want_sp.vals_mut().copy_from_slice(&lin_vals);
+                let mut want_sp_rhs = sp_rhs.clone();
+                for (idx, el) in ckt.elements().enumerate() {
+                    if !el.is_nonlinear() {
+                        continue;
+                    }
+                    let ctx = sys.ctx(idx, el, x, &state, mode);
+                    el.stamp(
+                        &ctx,
+                        &mut Stamper::new(&mut want, &mut want_rhs, sys.n_nodes),
+                    );
+                    let mut slots = StampSlots::default();
+                    let mut out =
+                        Stamper::sparse(&mut want_sp, &mut slots, &mut want_sp_rhs, sys.n_nodes);
+                    el.stamp(&ctx, &mut out);
+                    assert!(!slots.missing());
+                }
+
+                let (mut got, mut got_rhs) = (lin.clone(), lin_rhs.clone());
+                let target = Target::Dense(&mut got);
+                assert!(program
+                    .run(&sys, x, &state, mode, target, &mut got_rhs)
+                    .is_ok());
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{method:?}");
+                assert_eq!(bits(&got_rhs), bits(&want_rhs), "{method:?}");
+
+                sp.mat.vals_mut().copy_from_slice(&lin_vals);
+                let mut got_sp_rhs = sp_rhs.clone();
+                let target = Target::Sparse(&mut sp.mat);
+                assert!(sp_program
+                    .run(&sys, x, &state, mode, target, &mut got_sp_rhs)
+                    .is_ok());
+                assert_eq!(bits(sp.mat.vals()), bits(want_sp.vals()), "{method:?}");
+                assert_eq!(bits(&got_sp_rhs), bits(&want_sp_rhs), "{method:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn device_program_flags_mosfet_outside_pattern() {
+        let mut ckt = Circuit::new();
+        let (d, g) = (ckt.node("d"), ckt.node("g"));
+        ckt.add(Resistor::new("R1", d, Circuit::GROUND, 1e3));
+        ckt.add(Resistor::new("R2", g, Circuit::GROUND, 1e3));
+        let sys = System::new(&ckt);
+        let x = [0.0, 0.0];
+        let sp = sys.build_sparse(&x, &[], StampMode::dc()).expect("pattern");
+        // A pattern discovered without the MOSFET has no drain-gate slot.
+        let mut with_mos = Circuit::new();
+        let (d, g) = (with_mos.node("d"), with_mos.node("g"));
+        with_mos.add(Resistor::new("R1", d, Circuit::GROUND, 1e3));
+        with_mos.add(Resistor::new("R2", g, Circuit::GROUND, 1e3));
+        with_mos.add(Mosfet::new(
+            "M1",
+            d,
+            g,
+            Circuit::GROUND,
+            Circuit::GROUND,
+            MosParams {
+                mos_type: MosType::Nmos,
+                w: 1e-6,
+                l: 0.18e-6,
+                vth0: 0.45,
+                kp: 170e-6,
+                lambda: 0.1,
+                cox: 8.4e-3,
+                cov: 3.0e-10,
+                cj: 1.0e-3,
+                ldiff: 0.5e-6,
+            },
+        ));
+        let sys = System::new(&with_mos);
+        assert!(DeviceProgram::build(&sys, |r, c| sp.mat.find(r, c)).is_none());
+        assert!(DeviceProgram::build(&sys, |r, c| Some(r * 2 + c)).is_some());
     }
 
     #[test]

@@ -185,6 +185,11 @@ impl Circuit {
         self.elements.iter().map(|b| b.as_ref())
     }
 
+    /// The element at insertion index `idx`.
+    pub(crate) fn element(&self, idx: usize) -> &dyn Element {
+        self.elements[idx].as_ref()
+    }
+
     /// Finds an element by name.
     #[must_use]
     pub fn find_element(&self, name: &str) -> Option<&dyn Element> {

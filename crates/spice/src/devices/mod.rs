@@ -22,7 +22,7 @@ impl DeviceCap {
         b: Option<usize>,
         state: &[f64],
     ) {
-        if c <= 0.0 {
+        if Self::is_open(c) {
             return;
         }
         if let StampMode::Tran { dt, method, .. } = ctx.mode {
@@ -55,7 +55,22 @@ impl DeviceCap {
         state[1] = 0.0;
     }
 
-    fn companion(c: f64, dt: f64, method: Integration, v_prev: f64, i_prev: f64) -> (f64, f64) {
+    /// Whether a capacitance of `c` farads is left out of the stamp.
+    pub(crate) fn is_open(c: f64) -> bool {
+        c <= 0.0
+    }
+
+    /// The companion conductance and history current `(geq, ieq)` of a
+    /// capacitance `c` over a step `dt`, from its previous voltage and
+    /// current. The stamp is `geq` between the terminals and `ieq`
+    /// flowing from `b` to `a`.
+    pub(crate) fn companion(
+        c: f64,
+        dt: f64,
+        method: Integration,
+        v_prev: f64,
+        i_prev: f64,
+    ) -> (f64, f64) {
         match method {
             Integration::Trapezoidal => {
                 let geq = 2.0 * c / dt;

@@ -153,37 +153,129 @@ pub enum MosRegion {
 /// `vgs`, `vds` must already be polarity-corrected with `vds ≥ 0`.
 #[must_use]
 pub fn square_law(params: &MosParams, vgs: f64, vds: f64) -> MosEval {
-    debug_assert!(vds >= 0.0, "square_law requires normalized vds");
-    let beta = params.beta();
-    let vov = vgs - params.vth0;
-    if vov <= 0.0 {
-        return MosEval {
-            ids: 0.0,
-            gm: 0.0,
-            gds: 0.0,
-            region: MosRegion::Cutoff,
-        };
-    }
-    let clm = 1.0 + params.lambda * vds;
-    if vds < vov {
-        // Triode.
-        let core = vov * vds - 0.5 * vds * vds;
-        MosEval {
-            ids: beta * core * clm,
-            gm: beta * vds * clm,
-            gds: beta * ((vov - vds) * clm + core * params.lambda),
-            region: MosRegion::Triode,
+    SquareLaw::of(params).eval(vgs, vds)
+}
+
+/// The scalars of a model card that the square law reads, precomputed
+/// once (`beta` included). Both [`Mosfet::stamp`] and the compiled
+/// transient load evaluate the channel through it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SquareLaw {
+    /// +1 for NMOS, −1 for PMOS.
+    polarity: f64,
+    /// `kp·W/L`, A/V².
+    beta: f64,
+    /// Threshold voltage magnitude, volts.
+    vth0: f64,
+    /// Channel-length modulation, 1/V.
+    lambda: f64,
+}
+
+/// Effective-frame terminals of the six channel Jacobian writes, in
+/// stamp order: `0` = drain, `1` = gate, `2` = source.
+pub(crate) const CHANNEL_WRITES: [(usize, usize); 6] =
+    [(0, 1), (0, 0), (0, 2), (2, 1), (2, 0), (2, 2)];
+
+/// Newton linearization of the channel at one guess, in the effective
+/// frame (drain and source exchanged when `swapped`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Channel {
+    /// Whether the effective drain is the physical source.
+    pub(crate) swapped: bool,
+    /// Jacobian values in [`CHANNEL_WRITES`] order.
+    pub(crate) vals: [f64; 6],
+    /// Norton current from effective drain to effective source.
+    pub(crate) ieq: f64,
+}
+
+impl SquareLaw {
+    pub(crate) fn of(params: &MosParams) -> Self {
+        SquareLaw {
+            polarity: params.mos_type.polarity(),
+            beta: params.beta(),
+            vth0: params.vth0,
+            lambda: params.lambda,
         }
-    } else {
-        // Saturation.
-        let core = 0.5 * vov * vov;
-        MosEval {
-            ids: beta * core * clm,
-            gm: beta * vov * clm,
-            gds: beta * core * params.lambda,
-            region: MosRegion::Saturation,
+    }
+
+    /// Square-law current and derivatives in the normalized frame.
+    fn eval(&self, vgs: f64, vds: f64) -> MosEval {
+        debug_assert!(vds >= 0.0, "square_law requires normalized vds");
+        let beta = self.beta;
+        let vov = vgs - self.vth0;
+        if vov <= 0.0 {
+            return MosEval {
+                ids: 0.0,
+                gm: 0.0,
+                gds: 0.0,
+                region: MosRegion::Cutoff,
+            };
+        }
+        let clm = 1.0 + self.lambda * vds;
+        if vds < vov {
+            // Triode.
+            let core = vov * vds - 0.5 * vds * vds;
+            MosEval {
+                ids: beta * core * clm,
+                gm: beta * vds * clm,
+                gds: beta * ((vov - vds) * clm + core * self.lambda),
+                region: MosRegion::Triode,
+            }
+        } else {
+            // Saturation.
+            let core = 0.5 * vov * vov;
+            MosEval {
+                ids: beta * core * clm,
+                gm: beta * vov * clm,
+                gds: beta * core * self.lambda,
+                region: MosRegion::Saturation,
+            }
         }
     }
+
+    /// Large-signal evaluation at the given terminal voltages (actual,
+    /// un-normalized). Returns the evaluation in the normalized frame
+    /// plus whether drain/source were swapped.
+    fn eval_at(&self, vd: f64, vg: f64, vs: f64) -> (MosEval, bool) {
+        let p = self.polarity;
+        let vds_raw = p * (vd - vs);
+        if vds_raw >= 0.0 {
+            (self.eval(p * (vg - vs), vds_raw), false)
+        } else {
+            // Effective drain and source swap.
+            (self.eval(p * (vg - vd), -vds_raw), true)
+        }
+    }
+
+    /// The channel's Newton linearization at terminal voltages
+    /// `vd`, `vg`, `vs`.
+    #[inline]
+    pub(crate) fn channel(&self, vd: f64, vg: f64, vs: f64) -> Channel {
+        let (ev, swapped) = self.eval_at(vd, vg, vs);
+        let (vde, vse) = if swapped { (vs, vd) } else { (vd, vs) };
+        // Current from effective drain to effective source:
+        // I = p · ids(vgs_eff, vds_eff), with vgs_eff = p(vg − vse),
+        // vds_eff = p(vde − vse). Chain rule gives real-frame stamps:
+        let (gm, gds) = (ev.gm, ev.gds);
+        let i_actual = self.polarity * ev.ids;
+        Channel {
+            swapped,
+            vals: [gm, gds, -(gm + gds), -gm, -gds, gm + gds],
+            ieq: i_actual - gm * vg - gds * vde + (gm + gds) * vse,
+        }
+    }
+}
+
+/// What the compiled transient load needs of one MOSFET instance:
+/// terminal nodes, precomputed square-law scalars and the three fixed
+/// terminal capacitances. Handed over by [`Element::mos_card`].
+#[derive(Debug, Clone)]
+pub struct MosCard {
+    /// Drain, gate, source.
+    pub(crate) dgs: [NodeId; 3],
+    pub(crate) law: SquareLaw,
+    /// The capacitances in stamp order, each with its two terminals.
+    pub(crate) caps: [(f64, NodeId, NodeId); N_CAPS],
 }
 
 /// A four-terminal MOSFET instance (body terminal accepted for netlist
@@ -226,18 +318,19 @@ impl Mosfet {
         &self.params
     }
 
-    /// Large-signal evaluation at the given terminal voltages (actual,
-    /// un-normalized). Returns the evaluation in the normalized frame plus
-    /// whether drain/source were swapped.
-    fn eval_at(&self, vd: f64, vg: f64, vs: f64) -> (MosEval, bool) {
-        let p = self.params.mos_type.polarity();
-        let vds_raw = p * (vd - vs);
-        if vds_raw >= 0.0 {
-            (square_law(&self.params, p * (vg - vs), vds_raw), false)
-        } else {
-            // Effective drain and source swap.
-            (square_law(&self.params, p * (vg - vd), -vds_raw), true)
-        }
+    fn law(&self) -> SquareLaw {
+        SquareLaw::of(&self.params)
+    }
+
+    /// The terminal capacitances in stamp order — gate-source, gate-drain,
+    /// drain-body — each with its two terminals; capacitance `k` owns
+    /// state slots `2k..2k + 2`.
+    fn caps(&self) -> [(f64, NodeId, NodeId); N_CAPS] {
+        [
+            (self.params.cgs(), self.g, self.s),
+            (self.params.cgd(), self.g, self.d),
+            (self.params.cjunc(), self.d, self.b),
+        ]
     }
 
     /// Small-signal parameters at an operating point (gm, gds referred to
@@ -247,7 +340,7 @@ impl Mosfet {
         let vd = self.d.index().map_or(0.0, |i| x_op[i]);
         let vg = self.g.index().map_or(0.0, |i| x_op[i]);
         let vs = self.s.index().map_or(0.0, |i| x_op[i]);
-        self.eval_at(vd, vg, vs).0
+        self.law().eval_at(vd, vg, vs).0
     }
 
     /// Drain current at an operating point, in the device's own polarity
@@ -258,7 +351,7 @@ impl Mosfet {
         let vd = self.d.index().map_or(0.0, |i| x_op[i]);
         let vg = self.g.index().map_or(0.0, |i| x_op[i]);
         let vs = self.s.index().map_or(0.0, |i| x_op[i]);
-        let (ev, swapped) = self.eval_at(vd, vg, vs);
+        let (ev, swapped) = self.law().eval_at(vd, vg, vs);
         let p = self.params.mos_type.polarity();
         if swapped {
             -p * ev.ids
@@ -291,88 +384,64 @@ impl Element for Mosfet {
     }
 
     fn init_state(&self, ctx: &StampCtx<'_>, state: &mut [f64]) {
-        let (vd, vg, vs) = (ctx.v(self.d), ctx.v(self.g), ctx.v(self.s));
-        let vb = ctx.v(self.b);
-        DeviceCap::init(vg, vs, &mut state[0..2]);
-        DeviceCap::init(vg, vd, &mut state[2..4]);
-        DeviceCap::init(vd, vb, &mut state[4..6]);
-    }
-
-    fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
-        let (vd, vg, vs) = (ctx.v(self.d), ctx.v(self.g), ctx.v(self.s));
-        let p = self.params.mos_type.polarity();
-        let (ev, swapped) = self.eval_at(vd, vg, vs);
-
-        // Effective (normalized-frame) drain and source node indices.
-        let (nd, ns) = if swapped {
-            (self.s.index(), self.d.index())
-        } else {
-            (self.d.index(), self.s.index())
-        };
-        let ng = self.g.index();
-        let (vde, vse) = if swapped { (vs, vd) } else { (vd, vs) };
-
-        // Current from effective drain to effective source:
-        // I = p · ids(vgs_eff, vds_eff), with vgs_eff = p(vg − vse),
-        // vds_eff = p(vde − vse). Chain rule gives real-frame stamps:
-        let (gm, gds) = (ev.gm, ev.gds);
-        out.mat(nd, ng, gm);
-        out.mat(nd, nd, gds);
-        out.mat(nd, ns, -(gm + gds));
-        out.mat(ns, ng, -gm);
-        out.mat(ns, nd, -gds);
-        out.mat(ns, ns, gm + gds);
-        let i_actual = p * ev.ids;
-        let ieq = i_actual - gm * vg - gds * vde + (gm + gds) * vse;
-        out.current_source(nd, ns, ieq);
-
-        // Internal capacitances (transient only; no-ops in DC).
-        if matches!(ctx.mode, StampMode::Tran { .. }) {
-            let (g, d, s, b) = (
-                self.g.index(),
-                self.d.index(),
-                self.s.index(),
-                self.b.index(),
-            );
-            DeviceCap::stamp(ctx, out, self.params.cgs(), g, s, &ctx.state[0..2]);
-            DeviceCap::stamp(ctx, out, self.params.cgd(), g, d, &ctx.state[2..4]);
-            DeviceCap::stamp(ctx, out, self.params.cjunc(), d, b, &ctx.state[4..6]);
+        for (k, (_, a, b)) in self.caps().into_iter().enumerate() {
+            DeviceCap::init(ctx.v(a), ctx.v(b), &mut state[2 * k..2 * k + 2]);
         }
     }
 
+    fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
+        let ch = self
+            .law()
+            .channel(ctx.v(self.d), ctx.v(self.g), ctx.v(self.s));
+        let (d, g, s) = (self.d.index(), self.g.index(), self.s.index());
+        let t = if ch.swapped { [s, g, d] } else { [d, g, s] };
+        for (&(r, c), &v) in CHANNEL_WRITES.iter().zip(&ch.vals) {
+            out.mat(t[r], t[c], v);
+        }
+        out.current_source(t[0], t[2], ch.ieq);
+
+        // Internal capacitances (transient only; no-ops in DC).
+        if matches!(ctx.mode, StampMode::Tran { .. }) {
+            for (k, (c, a, b)) in self.caps().into_iter().enumerate() {
+                DeviceCap::stamp(
+                    ctx,
+                    out,
+                    c,
+                    a.index(),
+                    b.index(),
+                    &ctx.state[2 * k..2 * k + 2],
+                );
+            }
+        }
+    }
+
+    fn mos_card(&self) -> Option<MosCard> {
+        Some(MosCard {
+            dgs: [self.d, self.g, self.s],
+            law: self.law(),
+            caps: self.caps(),
+        })
+    }
+
     fn update_state(&self, ctx: &StampCtx<'_>, state_next: &mut [f64]) {
-        let (vd, vg, vs, vb) = (ctx.v(self.d), ctx.v(self.g), ctx.v(self.s), ctx.v(self.b));
-        DeviceCap::update(
-            ctx,
-            self.params.cgs(),
-            vg,
-            vs,
-            &ctx.state[0..2],
-            &mut state_next[0..2],
-        );
-        DeviceCap::update(
-            ctx,
-            self.params.cgd(),
-            vg,
-            vd,
-            &ctx.state[2..4],
-            &mut state_next[2..4],
-        );
-        DeviceCap::update(
-            ctx,
-            self.params.cjunc(),
-            vd,
-            vb,
-            &ctx.state[4..6],
-            &mut state_next[4..6],
-        );
+        for (k, (c, a, b)) in self.caps().into_iter().enumerate() {
+            let slots = 2 * k..2 * k + 2;
+            DeviceCap::update(
+                ctx,
+                c,
+                ctx.v(a),
+                ctx.v(b),
+                &ctx.state[slots.clone()],
+                &mut state_next[slots],
+            );
+        }
     }
 
     fn stamp_ac(&self, x_op: &[f64], _bb: usize, out: &mut AcStamper<'_>) {
         let vd = self.d.index().map_or(0.0, |i| x_op[i]);
         let vg = self.g.index().map_or(0.0, |i| x_op[i]);
         let vs = self.s.index().map_or(0.0, |i| x_op[i]);
-        let (ev, swapped) = self.eval_at(vd, vg, vs);
+        let (ev, swapped) = self.law().eval_at(vd, vg, vs);
         let (nd, ns) = if swapped {
             (self.s.index(), self.d.index())
         } else {
@@ -384,15 +453,9 @@ impl Element for Mosfet {
         out.transconductance(nd, ns, ng, ns, ev.gm);
         out.conductance(nd, ns, ev.gds);
         // Capacitances at the physical terminals.
-        let (g, d, s, b) = (
-            self.g.index(),
-            self.d.index(),
-            self.s.index(),
-            self.b.index(),
-        );
-        out.capacitance(g, s, self.params.cgs());
-        out.capacitance(g, d, self.params.cgd());
-        out.capacitance(d, b, self.params.cjunc());
+        for (c, a, b) in self.caps() {
+            out.capacitance(a.index(), b.index(), c);
+        }
     }
 
     fn dc_power(&self, x_op: &[f64], _bb: usize) -> Option<f64> {

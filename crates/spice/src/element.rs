@@ -97,10 +97,13 @@ impl StampCtx<'_> {
 /// While stamping into a [`CsrMatrix`], the stamper records the flat
 /// value-slot of every matrix write in call order. On the next pass over
 /// the same elements, each write is satisfied by the cached slot after a
-/// cheap `(row, col)` check — no binary search, no triplet rebuild. A
-/// mismatch (e.g. a MOSFET reordering its drain/source writes between
-/// Newton iterations) self-heals via binary search on the CSR row, so
-/// correctness never depends on the cache being right.
+/// cheap `(row, col)` check — no binary search, no triplet rebuild. The
+/// full and linear assembly passes use one each, and the transient
+/// nonlinear top-up uses one for the elements it does not compile (see
+/// [`Element::mos_card`]). A write whose position differs from the
+/// recorded one (an element whose write order depends on the guess)
+/// self-heals via binary search on the CSR row, so correctness never
+/// depends on the cache being right.
 #[derive(Debug, Default, Clone)]
 pub struct StampSlots {
     seq: Vec<(usize, usize, usize)>,
@@ -564,6 +567,23 @@ pub trait Element: fmt::Debug + Send + Sync {
     /// Stamps the element's (linearized) contribution for the mode in
     /// `ctx.mode`.
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>);
+
+    /// The device card of a MOSFET, for the compiled transient load;
+    /// `None` (the default) for every other element.
+    ///
+    /// The transient Newton loop tops up the cached linear stamps with
+    /// one pass over the nonlinear elements in circuit order. An element
+    /// that returns a card is not called through [`Element::stamp`] on
+    /// that pass: the pass evaluates the card's square law and cap
+    /// companions itself and adds them into matrix slots resolved once.
+    /// Returning `Some` therefore promises that `stamp` in transient mode
+    /// is exactly the built-in MOSFET stamp of that card. Only
+    /// [`crate::devices::mosfet::Mosfet`] implements it; other nonlinear
+    /// elements keep the default and are stamped through a [`Stamper`]
+    /// at their place in the pass.
+    fn mos_card(&self) -> Option<crate::devices::mosfet::MosCard> {
+        None
+    }
 
     /// Writes the element's next-timestep state after a converged step.
     /// `ctx.x` holds the converged solution; `ctx.state` the previous state.

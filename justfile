@@ -1,7 +1,7 @@
 # Development task runner. Same gates as .github/workflows/ci.yml.
 
 # Run every CI gate locally.
-ci: fmt-check clippy test perfbench-selftest lint-circuits analyze-circuits gates-smoke
+ci: fmt-check clippy doc test perfbench-selftest lint-circuits analyze-circuits gates-smoke
 
 # Formatting gate.
 fmt-check:
@@ -14,6 +14,10 @@ fmt:
 # Lint gate (warnings are errors).
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc gate: broken or private intra-doc links are errors.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Tier-1 verification: release build + full test suite.
 test:
